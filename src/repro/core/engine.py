@@ -552,11 +552,15 @@ class DittoEngine:
         )
 
     def invalidate(self) -> None:
-        """Drop the computation graph; the next run starts from scratch."""
+        """Drop the computation graph; the next run starts from scratch.
+
+        Teardown is batched: the table releases reference counts once per
+        location and cuts every edge, and the order list unlinks all of its
+        records in one walk, so nothing discarded is left in a reference
+        cycle."""
         for node in self.table.clear():
-            if node.order_rec is not None:
-                self.order.delete(node.order_rec)
-                node.order_rec = None
+            node.order_rec = None
+        self.order.clear()
         self._anchor.calls.clear()
         self._root = None
         self._to_propagate.clear()
@@ -637,7 +641,7 @@ class DittoEngine:
                     f"edge multiplicity mismatch {caller} -> {node}"
                 )
             if node is not self._root:
-                assert node.caller_count() > 0, f"{node} unreachable"
+                assert node.callers, f"{node} unreachable"
 
     def lint(self):
         """Re-run the whole-program lint pass for this engine's entry point
@@ -969,7 +973,7 @@ class DittoEngine:
                     for node in sorted(dirty, key=ComputationNode.sort_token):
                         if not (contains(node) and node.dirty):
                             continue
-                        if node is not root_node and node.caller_count() == 0:
+                        if node is not root_node and not node.callers:
                             prune(node)
                             continue
                         stats.dirty_execs += 1
@@ -1010,7 +1014,7 @@ class DittoEngine:
             if old_root is not None and self.table.contains(old_root):
                 self._anchor.calls.remove(old_root)
                 self.table.remove_edge(self._anchor, old_root)
-                if old_root.caller_count() == 0:
+                if not old_root.callers:
                     self._prune(old_root)
         return node
 
@@ -1024,7 +1028,7 @@ class DittoEngine:
         if old_root is not None and self.table.contains(old_root):
             self._anchor.calls.remove(old_root)
             self.table.remove_edge(self._anchor, old_root)
-            if old_root.caller_count() == 0:
+            if not old_root.callers:
                 self._prune(old_root)
 
     # Node execution (Figure 7's ``exec``). -------------------------------------------
@@ -1064,8 +1068,8 @@ class DittoEngine:
             node.calls = old_calls
             for child in set(partial_calls):
                 if (
-                    self.table.contains(child)
-                    and child.caller_count() == 0
+                    not child.callers
+                    and self.table.contains(child)
                     and not child.in_progress
                 ):
                     self._prune(child)
@@ -1120,10 +1124,7 @@ class DittoEngine:
         for child in old_calls:
             self.table.remove_edge(node, child)
         for child in set(old_calls):
-            if (
-                self.table.contains(child)
-                and child.caller_count() == 0
-            ):
+            if not child.callers and self.table.contains(child):
                 self._prune(child)
 
         if old_has and not _same_value(result, old_val):
@@ -1136,7 +1137,7 @@ class DittoEngine:
         # reaches it now, complete the prune.
         if (
             node is not self._root
-            and node.caller_count() == 0
+            and not node.callers
             and self.table.contains(node)
         ):
             self._prune(node)
@@ -1262,7 +1263,7 @@ class DittoEngine:
                     self.table.contains(node) and (node.dirty or node.failed)
                 ):
                     continue
-                if node is not self._root and node.caller_count() == 0:
+                if node is not self._root and not node.callers:
                     self._prune(node)
                     continue
                 self.stats.retry_execs += 1
@@ -1286,7 +1287,7 @@ class DittoEngine:
                         and (node.dirty or node.failed)
                     ):
                         continue
-                    if node is not self._root and node.caller_count() == 0:
+                    if node is not self._root and not node.callers:
                         self._prune(node)
                         continue
                     self.stats.retry_execs += 1

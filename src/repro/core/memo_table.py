@@ -13,6 +13,8 @@ writes no invariant check depends on.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 from .argkeys import ArgsKey
@@ -44,6 +46,40 @@ def _merge_intervals(
         else:
             merged.append((start, stop))
     return merged
+
+
+#: The shipped tracked types, whose counts the table maintains inline.
+_TRACKED = (TrackedObject, TrackedArray)
+
+#: Raw attribute store: counter updates must not run TrackedObject's
+#: barrier ``__setattr__`` (a Python frame per store).
+_RAW_SETATTR = object.__setattr__
+
+
+def _release(location: Location, times: int) -> None:
+    """Release ``times`` references to ``location``.  The shipped tracked
+    types are decremented directly (``location`` is their interned
+    instance; see :meth:`MemoTable.record_implicit`); duck-typed containers
+    go through whichever of the ``_ditto_decref_loc`` / ``_ditto_decref``
+    hooks they provide (neither: not refcounted)."""
+    container = location.container
+    if isinstance(container, _TRACKED):
+        location.refcount -= times
+        _RAW_SETATTR(container, "_ditto_locrefs",
+                     container._ditto_locrefs - times)
+        _RAW_SETATTR(container, "_ditto_refcount",
+                     container._ditto_refcount - times)
+        return
+    decref_loc = getattr(container, "_ditto_decref_loc", None)
+    if decref_loc is not None:
+        for _ in range(times):
+            decref_loc(location)
+        return
+    decref = getattr(container, "_ditto_decref", None)
+    if decref is not None:
+        for _ in range(times):
+            decref()
+
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..instrument.registry import CheckFunction
@@ -93,7 +129,13 @@ class MemoTable:
 
     def record_implicit(self, node: ComputationNode, location: Location) -> None:
         """Add ``location`` to ``node``'s implicit arguments, updating the
-        reverse map and the container's reference count."""
+        reverse map and the container's reference counts.
+
+        For the shipped tracked types the *interned* instance (the one in
+        the container's location cache, which the write barrier consults)
+        is what gets stored, in ``node.implicits`` and in the reverse map
+        alike; :meth:`clear_implicits` and :meth:`clear` rely on that to
+        release counts without re-canonicalizing."""
         if location in node.implicits:
             return
         container = location.container
@@ -108,19 +150,27 @@ class MemoTable:
             # time — until a retry found refcount 0 and adopted the
             # structure out from under its owner.
             adopt_container(container, self.tracking)
+        tracked = isinstance(container, _TRACKED)
+        if tracked:
+            # Callers on the read path already pass the interned instance,
+            # so this is a cache hit.
+            location = container._ditto_location(location.coordinate)
         node.implicits.add(location)
         dependents = self._reverse.get(location)
         if dependents is None:
             dependents = set()
             self._reverse[location] = dependents
         dependents.add(node)
-        # Location-attributed incref.  The shipped tracked types get a
-        # direct (monomorphic) call — every location reaching here for them
-        # is already the interned instance, so canonicalization inside
-        # ``_ditto_incref_loc`` is a dict no-op; duck-typed getattr
-        # dispatch remains only for custom tracked containers.
-        if isinstance(container, (TrackedObject, TrackedArray)):
-            container._ditto_incref_loc(location)
+        if tracked:
+            # Location-attributed incref, inlined: the per-location count
+            # on the interned instance plus the container's exact
+            # (``_ditto_locrefs``) and coarse (``_ditto_refcount``) counts.
+            # Raw stores skip TrackedObject's barrier ``__setattr__``.
+            location.refcount += 1
+            _RAW_SETATTR(container, "_ditto_locrefs",
+                         container._ditto_locrefs + 1)
+            _RAW_SETATTR(container, "_ditto_refcount",
+                         container._ditto_refcount + 1)
         else:
             incref_loc = getattr(container, "_ditto_incref_loc", None)
             if incref_loc is not None:
@@ -132,24 +182,27 @@ class MemoTable:
 
     def clear_implicits(self, node: ComputationNode) -> None:
         """Drop all of ``node``'s implicit arguments (before re-execution or
-        when pruning), releasing reverse-map entries and reference counts."""
+        when pruning), releasing reverse-map entries and reference counts.
+
+        The shipped tracked types are released inline (``_release``
+        without its frame): this runs before every re-execution and for
+        every pruned node."""
+        reverse = self._reverse
         for location in node.implicits:
-            dependents = self._reverse.get(location)
+            dependents = reverse.get(location)
             if dependents is not None:
                 dependents.discard(node)
                 if not dependents:
-                    del self._reverse[location]
+                    del reverse[location]
             container = location.container
-            if isinstance(container, (TrackedObject, TrackedArray)):
-                container._ditto_decref_loc(location)
+            if isinstance(container, _TRACKED):
+                location.refcount -= 1
+                _RAW_SETATTR(container, "_ditto_locrefs",
+                             container._ditto_locrefs - 1)
+                _RAW_SETATTR(container, "_ditto_refcount",
+                             container._ditto_refcount - 1)
             else:
-                decref_loc = getattr(container, "_ditto_decref_loc", None)
-                if decref_loc is not None:
-                    decref_loc(location)
-                else:
-                    decref = getattr(container, "_ditto_decref", None)
-                    if decref is not None:
-                        decref()
+                _release(location, 1)
         node.implicits.clear()
 
     def nodes_reading(self, location: Location) -> set[ComputationNode]:
@@ -213,7 +266,9 @@ class MemoTable:
 
     def remove_edge(self, caller: ComputationNode, callee: ComputationNode) -> None:
         """Remove one ``caller -> callee`` call occurrence (the caller's
-        ``calls`` list is managed by the engine)."""
+        ``calls`` list is managed by the engine).  The last occurrence
+        deletes the ``callers`` entry rather than storing 0, keeping every
+        multiplicity >= 1 so ``not callee.callers`` is the orphan test."""
         count = callee.callers.get(caller, 0)
         if count <= 1:
             callee.callers.pop(caller, None)
@@ -245,9 +300,16 @@ class MemoTable:
             self.clear_implicits(current)
             removed.append(current)
             for callee in current.calls:
-                self.remove_edge(current, callee)
-                if callee.caller_count() == 0:
-                    stack.append(callee)
+                # remove_edge, inlined.  Multiplicities never sit at 0, so
+                # an emptied ``callers`` dict is the O(1) orphan test.
+                callers = callee.callers
+                count = callers.get(current, 0)
+                if count > 1:
+                    callers[current] = count - 1
+                else:
+                    callers.pop(current, None)
+                    if not callers:
+                        stack.append(callee)
             current.calls.clear()
             current.callers.clear()
         return removed
@@ -257,10 +319,21 @@ class MemoTable:
 
     def clear(self) -> list[ComputationNode]:
         """Drop the whole graph (step-limit fallback / engine reset),
-        releasing all reference counts.  Returns the removed nodes."""
+        releasing all reference counts.  Returns the removed nodes.
+
+        Batched: releases are counted per location from each node's own
+        ``implicits`` (the source :meth:`clear_implicits` uses, so a
+        corrupted reverse map cannot over-release), then applied with one
+        decrement per location.  Every node's edges are cut so the
+        discarded graph holds no reference cycles."""
         removed = list(self._entries.values())
+        releases = Counter(chain.from_iterable(
+            node.implicits for node in removed
+        ))
+        for location, times in releases.items():
+            _release(location, times)
         for node in removed:
-            self.clear_implicits(node)
+            node.implicits.clear()
             node.calls.clear()
             node.callers.clear()
         self._entries.clear()

@@ -8,6 +8,9 @@ plus the bookkeeping the full algorithm (Figure 7) needs:
 
 * ``callers`` — reverse edges with multiplicities (``get_callers`` in the
   pseudo-code); a node with no callers is unreachable and gets pruned.
+  Every stored multiplicity is at least 1 (an edge whose count would
+  drop to 0 is removed from the dict), so the orphan test on the repair
+  path is the O(1) ``not node.callers``.
 * ``depth`` — distance from the root, maintained as a minimum over caller
   depths; drives the breadth-first scheduling of dirty re-executions and
   the reverse-BFS ordering of return-value propagation.
@@ -65,7 +68,8 @@ class ComputationNode:
         self.implicits: set[Location] = set()
         #: Child invocations, in call order (may repeat).
         self.calls: list[ComputationNode] = []
-        #: Caller node -> number of call edges from it to this node.
+        #: Caller node -> number of call edges from it to this node
+        #: (always >= 1; see the module docstring).
         self.callers: dict[ComputationNode, int] = {}
         self.return_val: Any = None
         self.has_result = False
@@ -86,6 +90,9 @@ class ComputationNode:
         return self.key.args
 
     def caller_count(self) -> int:
+        """Total incoming call edges, multiplicities summed.  Diagnostics
+        only: it costs O(distinct callers), and shared nodes have
+        thousands.  The repair path tests ``not node.callers`` instead."""
         return sum(self.callers.values())
 
     def sort_token(self) -> tuple[int, int]:

@@ -124,6 +124,22 @@ class OrderList:
         rec.prev = rec.next = None
         self._size -= 1
 
+    def clear(self) -> None:
+        """Remove every record in one walk (graph teardown).  Each record
+        ends as ``delete`` leaves it — dead and unlinked, so the discarded
+        chain holds no reference cycles — without splicing neighbours one
+        deletion at a time."""
+        rec = self._head.next
+        tail = self._tail
+        while rec is not None and rec is not tail:
+            nxt = rec.next
+            rec.owner = None
+            rec.prev = rec.next = None
+            rec = nxt
+        self._head.next = tail
+        tail.prev = self._head
+        self._size = 0
+
     def order(self, a: Record, b: Record) -> bool:
         """True iff ``a`` precedes ``b`` in the list."""
         if a.owner is not self or b.owner is not self:

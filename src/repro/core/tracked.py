@@ -22,17 +22,18 @@ Both of the paper's Section 4 barrier optimizations are implemented:
 3. **Per-location refinement** — the container count says *some* location
    of the container is read, not *which*.  Engine-managed implicit entries
    additionally bump a per-:class:`~repro.core.locations.Location` count on
-   the interned location itself (``_ditto_incref_loc``), mirrored into the
-   container's ``_ditto_locrefs``.  A store to a monitored field of a
-   referenced container whose own location count is zero is provably
-   unread and is skipped (counted in ``barrier_location_filtered``).  The
-   filter is exact only while every container reference is
-   location-attributed: code that bumps the coarse count directly
-   (``_ditto_incref``) leaves ``_ditto_refcount != _ditto_locrefs`` and the
-   barrier falls back to logging every monitored store, preserving the
-   pre-refinement behaviour.  Coalesced range barriers always log — a
-   range spans many point locations and is not interned.
-   :func:`set_location_filter` disables the refinement for A/B
+   the interned location itself, mirrored into the container's
+   ``_ditto_locrefs``; the memo table stores that same interned instance
+   as the implicit argument and maintains all three counts inline.  A
+   store to a monitored field of a referenced container whose own location
+   count is zero is provably unread and is skipped (counted in
+   ``barrier_location_filtered``).  The filter is exact only while every
+   container reference is location-attributed: code that bumps the coarse
+   count directly (``_ditto_incref``) leaves ``_ditto_refcount !=
+   _ditto_locrefs`` and the barrier falls back to logging every monitored
+   store, preserving the pre-refinement behaviour.  Coalesced range
+   barriers always log — a range spans many point locations and is not
+   interned.  :func:`set_location_filter` disables the refinement for A/B
    measurements (``benchmarks/bench_barrier_overhead.py``).
 
 Mutations that pass both filters append their :class:`~repro.core.locations.
@@ -105,9 +106,11 @@ class WriteLog:
 
     Consumers (engines) register and receive a consumer id; ``consume(cid)``
     returns every location logged since that consumer's previous call.  A
-    location whose latest log position is still unread by *some* consumer is
-    not appended again (write deduplication); the backing list is compacted
-    whenever all consumers have caught up.
+    location whose latest log position is still unread by *every* consumer
+    is not appended again (write deduplication): each consumer will see
+    that pending entry.  Once any consumer has read past it, a new write is
+    appended, so the consumer that already drained it sees the new write.
+    The backing list is compacted whenever all consumers have caught up.
     """
 
     def __init__(self) -> None:
@@ -383,36 +386,14 @@ class TrackedObject:
             cache[name] = location
         return location
 
-    # Reference-count maintenance (called by the memo table). ---------------
+    # Coarse reference counts (derived maintainers, tests).  The memo table
+    # keeps the location-attributed counts inline instead; see
+    # MemoTable.record_implicit. -------------------------------------------
 
     def _ditto_incref(self) -> None:
         object.__setattr__(self, "_ditto_refcount", self._ditto_refcount + 1)
 
     def _ditto_decref(self) -> None:
-        object.__setattr__(self, "_ditto_refcount", self._ditto_refcount - 1)
-
-    def _ditto_incref_loc(self, location: Location) -> None:
-        """Location-attributed incref: bump the coarse container count *and*
-        the per-location count of the canonical (interned) location, keeping
-        ``_ditto_locrefs`` in step so the barrier knows the counts are
-        exact.  ``location`` need not be the interned instance — it is
-        canonicalized (and adopted as canonical if the slot has none yet)
-        through the location cache."""
-        cache = self.__dict__.get("_ditto_loc_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_ditto_loc_cache", cache)
-        location = cache.setdefault(location.coordinate, location)
-        location.refcount += 1
-        object.__setattr__(self, "_ditto_locrefs", self._ditto_locrefs + 1)
-        object.__setattr__(self, "_ditto_refcount", self._ditto_refcount + 1)
-
-    def _ditto_decref_loc(self, location: Location) -> None:
-        cache = self.__dict__.get("_ditto_loc_cache")
-        if cache is not None:
-            location = cache.get(location.coordinate, location)
-        location.refcount -= 1
-        object.__setattr__(self, "_ditto_locrefs", self._ditto_locrefs - 1)
         object.__setattr__(self, "_ditto_refcount", self._ditto_refcount - 1)
 
 
@@ -521,21 +502,6 @@ class TrackedArray:
         self._ditto_refcount += 1
 
     def _ditto_decref(self) -> None:
-        self._ditto_refcount -= 1
-
-    def _ditto_incref_loc(self, location: Location) -> None:
-        """See ``TrackedObject._ditto_incref_loc``."""
-        location = self._ditto_loc_cache.setdefault(
-            location.coordinate, location
-        )
-        location.refcount += 1
-        self._ditto_locrefs += 1
-        self._ditto_refcount += 1
-
-    def _ditto_decref_loc(self, location: Location) -> None:
-        location = self._ditto_loc_cache.get(location.coordinate, location)
-        location.refcount -= 1
-        self._ditto_locrefs -= 1
         self._ditto_refcount -= 1
 
 

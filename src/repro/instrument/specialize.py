@@ -227,11 +227,12 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
                     entries_reverse[location] = {node}
                 else:
                     dependents.add(node)
-                # _ditto_incref_loc, inlined: ``location`` is already the
-                # interned instance, so canonicalization is a no-op.  The
-                # counters are plain instance-dict ints on dict-backed
-                # TrackedObjects (reads fall back to the class default 0),
-                # so the stores go straight into the dict.
+                # Location-attributed incref (as in record_implicit):
+                # ``location`` is already the interned instance, so no
+                # canonicalization.  The counters are plain instance-dict
+                # ints on dict-backed TrackedObjects (reads fall back to
+                # the class default 0), so the stores go straight into the
+                # dict.
                 location.refcount += 1
                 instance_dict["_ditto_locrefs"] = obj._ditto_locrefs + 1
                 instance_dict["_ditto_refcount"] = obj._ditto_refcount + 1
@@ -399,8 +400,8 @@ def _abort_fresh_exec(engine: "DittoEngine", node: ComputationNode,
     node.calls = []
     for child in set(partial_calls):
         if (
-            table.contains(child)
-            and child.caller_count() == 0
+            not child.callers
+            and table.contains(child)
             and not child.in_progress
         ):
             engine._prune(child)

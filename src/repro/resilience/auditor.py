@@ -21,8 +21,10 @@ Rules audited (names appear in findings and in ``AuditReport.rules_run``):
     mirror images (both inclusions), and no pruned node lingers in either.
 ``edges``
     ``calls`` lists and ``callers`` multiplicity maps agree edge-for-edge,
-    every endpoint is a live table node, and every non-root node is
-    reachable (has at least one caller).
+    every stored multiplicity is at least 1 (the engine's O(1) orphan test
+    reads an empty ``callers`` map as "unreachable", so a 0 entry would pin
+    a dead node forever), every endpoint is a live table node, and every
+    non-root node is reachable (has at least one caller).
 ``node-state``
     Between runs no node is dirty, failed, in-progress, or missing its
     result — a quiescent graph is fully repaired.
@@ -182,6 +184,12 @@ class GraphAuditor:
                 edge_counts[pair] = edge_counts.get(pair, 0) + 1
         for node in table:
             for caller, count in node.callers.items():
+                if count < 1:
+                    yield (
+                        f"edge {caller} -> {node}: callers map stores "
+                        f"multiplicity {count} (must be >= 1)"
+                    )
+                    continue
                 if caller is anchor:
                     continue
                 if not table.contains(caller):
@@ -193,7 +201,7 @@ class GraphAuditor:
                         f"edge {caller} -> {node}: callers map says "
                         f"{count}, calls lists say {recorded}"
                     )
-            if node is not root and node.caller_count() == 0:
+            if node is not root and not node.callers:
                 yield f"{node} is unreachable (no callers) yet not pruned"
 
     def _audit_node_state(self) -> Iterator[str]:

@@ -65,6 +65,25 @@ class TestImplicits:
         table.record_implicit(node, loc)
         assert heap._ditto_refcount == 1
 
+    def test_record_stores_the_interned_location(self):
+        """Implicit arguments hold the container's interned instance (the
+        one the write barrier consults), whatever equal location the
+        caller passed, so releases can decrement it directly."""
+        table = MemoTable()
+        heap = Node()
+        interned = heap._ditto_location("value")
+        node = _node(table, some_check, 1)
+        table.record_implicit(node, FieldLocation(heap, "value"))
+        (stored,) = node.implicits
+        assert stored is interned
+        (reverse_key, _), = table.reverse_items()
+        assert reverse_key is interned
+        assert interned.refcount == 1
+        assert heap._ditto_locrefs == heap._ditto_refcount == 1
+        table.clear_implicits(node)
+        assert interned.refcount == 0
+        assert heap._ditto_locrefs == heap._ditto_refcount == 0
+
     def test_clear_implicits_releases(self):
         table = MemoTable()
         heap = Node()

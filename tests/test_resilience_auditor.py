@@ -145,6 +145,22 @@ class TestCorruptionDetection:
         report = engine.audit(raise_on_failure=False)
         assert report.by_rule("edges")
 
+    def test_zero_multiplicity_from_non_caller(self, warm_engine):
+        """A ``callers`` entry of 0 for a node that never calls the callee
+        agrees with the (absent) ``calls`` edge, so only the >= 1 rule can
+        see it; left in place it would pin a dead node forever, since an
+        empty ``callers`` map is the engine's orphan test."""
+        engine, _ = warm_engine
+        callee = next(n for n in engine.table if n is not engine._root)
+        stranger = next(
+            n for n in engine.table
+            if n is not callee and callee not in n.calls
+        )
+        callee.callers[stranger] = 0
+        report = engine.audit(raise_on_failure=False)
+        assert report.by_rule("edges")
+        assert "multiplicity 0" in str(report.by_rule("edges")[0])
+
     def test_dirty_node_left_behind(self, warm_engine):
         engine, _ = warm_engine
         next(iter(engine.table)).dirty = True

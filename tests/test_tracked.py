@@ -298,6 +298,24 @@ class TestWriteLog:
         consumed = log.consume(c2)
         assert loc in consumed
 
+    def test_dedup_only_while_unread_by_every_consumer(self):
+        log = WriteLog()
+        c1, c2 = log.register(), log.register()
+        a = TrackedArray(1)
+        loc = IndexLocation(a, 0)
+        log.append(loc)
+        log.append(loc)  # unread by both consumers: deduplicated
+        assert len(log) == 1
+        assert log.consume(c1) == [loc]
+        # Read by c1, still unread by c2: not every consumer would see a
+        # suppressed write, so it is appended again.
+        log.append(loc)
+        assert len(log) == 2
+        log.append(loc)  # the new entry is unread by both: deduplicated
+        assert len(log) == 2
+        assert log.consume(c1) == [loc]
+        assert log.consume(c2) == [loc, loc]
+
     def test_compaction_after_all_caught_up(self):
         log = WriteLog()
         cid = log.register()
