@@ -7,33 +7,27 @@ Compare the ``full`` and ``ditto`` rows inside each
 the search-based table with ``python -m repro.bench crossover``.
 
 Run this module as a script to emit/gate the ``BENCH_crossover.json``
-perf-trajectory record for the specialization tier:
+perf-trajectory record:
 
     python benchmarks/bench_crossover.py --emit BENCH_crossover.json \
         --check benchmarks/BENCH_crossover.json
 
 The standalone bench walks a fixed geometric size ladder per workload and
-times, at every rung, the full recursive check plus the DITTO check under
-both tiers (``specialize="on"`` and ``specialize="off"``), best of
-``--repeats``.  The *full* timings are measured once per rung and shared
-by both tiers, so tier-vs-tier comparisons never see two different noise
-draws of the same baseline.  A tier's crossover is suffix-win: the
-smallest rung from which the tier beats the full check at that rung *and
-every larger one* (a single noisy mid-ladder win cannot fake a
-crossover), log-log interpolated between the last losing and first
-winning rung so the estimate moves continuously instead of in 1.5x rung
-jumps.  A tier that never wins is *censored*: its crossover clamps to
-the ladder maximum and carries ``censored: true`` — a lower bound, which
-makes the gate's ratio floor conservative.
+times, at every rung, the full recursive check and the DITTO check, best
+of ``--repeats``.  The DITTO check runs the engine's compiled closures;
+the record keeps their historical name: the crossover is stored under
+``specialized`` and the rung timings under ``specialized_s``.  The
+crossover is suffix-win: the smallest rung from which the DITTO check
+beats the full check at that rung *and every larger one* (a single noisy
+mid-ladder win cannot fake a crossover), log-log interpolated between the
+last losing and first winning rung so the estimate moves continuously
+instead of in 1.5x rung jumps.  A check that never wins is *censored*:
+its crossover clamps to the ladder maximum and carries
+``censored: true``.
 
-The gate fails when the specialization win erodes: on each gated
-workload the specialized tier's crossover must be finite (not censored),
-the interpreted/specialized crossover ratio must stay at least 3x, the
-ratio must keep at least 80% of the committed baseline's (the barrier
-gate's >20%-regression rule; only compared when neither run's
-interpreted side is censored — a clamped ratio is a bound, not a
-measurement), and the specialized crossover must stay within 2x of the
-baseline's (a rung-aware backstop: estimates jitter by one 1.33–1.5x
+The gate fails when the incremental win erodes: on each gated workload
+the crossover must be finite (not censored) and must stay within 2x of
+the baseline's (a rung-aware backstop: estimates jitter by one 1.33–1.5x
 ladder rung, so 2x is a sustained regression).  Wall-clock rung timings
 are recorded for trajectory plots but not gated (machine-dependent);
 they live in a list, which the ``repro.obs analyze`` drift net
@@ -75,13 +69,13 @@ def test_crossover_at_paper_size(benchmark, cycle_factory, workload, size,
 # Standalone emit/gate entry point (CI's BENCH_crossover.json). ---------------
 
 #: Geometric size ladder (~1.33–1.5x rungs).  The top rung doubles as the
-#: censoring clamp for tiers that never cross.
+#: censoring clamp for a check that never crosses.
 LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768,
           1024, 1536, 2048, 3072)
 #: Mutations per measurement, per workload — tuned so the crossover sits
 #: in the regime the paper measures (§5.1): enough repairs that the
-#: incremental check can win, few enough that the graph build (where the
-#: tiers differ most) still matters.
+#: incremental check can win, few enough that the graph build still
+#: matters.
 CROSSOVER_WORKLOADS = {
     "ordered_list": 44,
     "hash_table": 32,
@@ -89,39 +83,31 @@ CROSSOVER_WORKLOADS = {
 }
 REPEATS = 5
 SEED = 0xD1770
-#: Engine tier settings compared at every rung.
-TIERS = {"specialized": "on", "interpreted": "off"}
 
 
-def _best_seconds(workload, size, mods, mode, repeats, engine_options=None):
+def _best_seconds(workload, size, mods, mode, repeats):
     return min(
-        measure_modes(
-            workload, size, mods, (mode,), SEED,
-            engine_options=engine_options,
-        )[mode].seconds
+        measure_modes(workload, size, mods, (mode,), SEED)[mode].seconds
         for _ in range(repeats)
     )
 
 
 def measure_ladder(workload, mods, ladder=LADDER, repeats=REPEATS):
-    """One row per rung: shared full-check seconds plus both tiers."""
-    rows = []
-    for size in ladder:
-        row = {
+    """One row per rung: full-check and DITTO-check seconds."""
+    return [
+        {
             "size": size,
             "full_s": _best_seconds(workload, size, mods, "full", repeats),
+            "specialized_s": _best_seconds(
+                workload, size, mods, "ditto", repeats
+            ),
         }
-        for tier, setting in TIERS.items():
-            row[f"{tier}_s"] = _best_seconds(
-                workload, size, mods, "ditto", repeats,
-                engine_options={"specialize": setting},
-            )
-        rows.append(row)
-    return rows
+        for size in ladder
+    ]
 
 
 def _interpolate(s_lose, d_lose, s_win, d_win):
-    """Log-log interpolation of the deficit curve d(s) = tier/full to the
+    """Log-log interpolation of the deficit curve d(s) = ditto/full to the
     d == 1 crossing between the last losing and first winning rung."""
     num = math.log(d_lose)
     den = math.log(d_lose) - math.log(d_win)
@@ -131,9 +117,9 @@ def _interpolate(s_lose, d_lose, s_win, d_win):
     )
 
 
-def tier_crossover(rows, tier):
-    """Suffix-win crossover of one tier over a measured ladder."""
-    key = f"{tier}_s"
+def ladder_crossover(rows):
+    """Suffix-win crossover of the DITTO check over a measured ladder."""
+    key = "specialized_s"
     win_idx = None
     for i in range(len(rows) - 1, -1, -1):
         if rows[i][key] < rows[i]["full_s"]:
@@ -170,20 +156,15 @@ def run_crossover_benchmark(workloads=None, ladder=LADDER, repeats=REPEATS):
     for name in sorted(workloads):
         mods = workloads[name]
         rows = measure_ladder(name, mods, ladder, repeats)
-        spec = tier_crossover(rows, "specialized")
-        interp = tier_crossover(rows, "interpreted")
         result["workloads"][name] = {
             "mods": mods,
             "ladder": rows,
-            "specialized": spec,
-            "interpreted": interp,
-            "crossover_ratio": interp["crossover"] / spec["crossover"],
+            "specialized": ladder_crossover(rows),
         }
     return result
 
 
 #: Gate thresholds (see the module docstring).
-MIN_CROSSOVER_RATIO = 3.0
 GATED_WORKLOADS = ("ordered_list", "hash_table", "red_black_tree")
 #: Backstop on the specialized crossover vs the committed baseline.  A
 #: crossover estimate jitters by up to one ladder rung (1.33–1.5x) run to
@@ -194,11 +175,6 @@ MAX_SPEC_GROWTH = 2.0
 #: the bottom of the ladder one rung of jitter exceeds any multiplicative
 #: tolerance (a crossover of 41 vs 99 is two rungs, not a 2.4x slowdown).
 MIN_SPEC_FLOOR = 64
-#: Same >20%-regression fraction as the barrier gate's append_ratio
-#: check, applied to the headline interpreted/specialized crossover
-#: ratio (skipped when either run's interpreted side is censored: a
-#: clamped ratio is a lower bound, not a comparable measurement).
-BASELINE_RATIO_FRACTION = 0.8
 
 
 def check_against_baseline(result, baseline):
@@ -209,17 +185,11 @@ def check_against_baseline(result, baseline):
         if wl is None:
             failures.append(f"{name}: missing from the bench result")
             continue
-        spec, interp = wl["specialized"], wl["interpreted"]
+        spec = wl["specialized"]
         if spec["censored"]:
             failures.append(
                 f"{name}: specialized tier never crossed below "
                 f"size {spec['crossover']}"
-            )
-        ratio = wl["crossover_ratio"]
-        if ratio < MIN_CROSSOVER_RATIO:
-            failures.append(
-                f"{name}: crossover ratio {ratio:.2f} < hard floor "
-                f"{MIN_CROSSOVER_RATIO}"
             )
         if baseline is None:
             continue
@@ -236,13 +206,6 @@ def check_against_baseline(result, baseline):
                 failures.append(
                     f"{name}: specialized crossover {spec['crossover']} "
                     f"regressed >20% vs baseline {base_spec['crossover']}"
-                )
-        if not interp["censored"] and not base_wl["interpreted"]["censored"]:
-            floor = base_wl["crossover_ratio"] * BASELINE_RATIO_FRACTION
-            if ratio < floor:
-                failures.append(
-                    f"{name}: crossover ratio {ratio:.2f} regressed >20% "
-                    f"vs baseline {base_wl['crossover_ratio']:.2f}"
                 )
     return failures
 
@@ -273,13 +236,11 @@ def main(argv=None):
 
     result = run_crossover_benchmark(workloads, repeats=args.repeats)
     for name, wl in sorted(result["workloads"].items()):
-        spec, interp = wl["specialized"], wl["interpreted"]
+        spec = wl["specialized"]
         print(
             f"{name}: specialized crossover {spec['crossover']}"
-            f"{' (censored)' if spec['censored'] else ''}, interpreted "
-            f"{interp['crossover']}"
-            f"{' (censored)' if interp['censored'] else ''} "
-            f"-> ratio {wl['crossover_ratio']:.2f}x (mods={wl['mods']})"
+            f"{' (censored)' if spec['censored'] else ''} "
+            f"(mods={wl['mods']})"
         )
     if args.emit:
         with open(args.emit, "w") as fh:

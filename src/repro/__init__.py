@@ -75,7 +75,6 @@ from .core import (
     TrackedObject,
     TrackingError,
     TrackingState,
-    UnknownCheckError,
     VerificationError,
     is_tracked,
     reset_tracking,
@@ -177,7 +176,6 @@ __all__ = [
     "TrackingError",
     "TrackingState",
     "tracking_state",
-    "UnknownCheckError",
     "VerificationError",
     "__version__",
 ]

@@ -341,7 +341,7 @@ def find_crossover(
     Each probe times both modes ``repeats`` times and keeps the minimum, to
     damp scheduler noise.  Returns ``crossover_size=None`` if DITTO never
     wins below ``hi``.  ``engine_options`` are forwarded to the DITTO
-    engine (e.g. ``{"specialize": "off"}`` for per-tier crossovers).
+    engine.
     """
     probes: list[tuple[int, float, float]] = []
 

@@ -16,7 +16,6 @@ from .errors import (
     StepLimitExceeded,
     TenantIsolationError,
     TrackingError,
-    UnknownCheckError,
     VerificationError,
 )
 from .locations import (
@@ -77,7 +76,6 @@ __all__ = [
     "TrackingError",
     "TrackingState",
     "tracking_state",
-    "UnknownCheckError",
     "VerificationError",
     "WriteLog",
 ]

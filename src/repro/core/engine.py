@@ -42,7 +42,8 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..instrument.registry import CheckFunction, check as as_check, closure_of
-from ..instrument.transform import instrument, instrumented_source
+from ..instrument.specialize import specialize_closure
+from ..instrument.transform import instrumented_source
 from .argkeys import ArgsKey, is_primitive
 from .errors import (
     CheckDeadlineExceeded,
@@ -58,13 +59,11 @@ from .errors import (
     StepLimitExceeded,
     TenantIsolationError,
     TrackingError,
-    UnknownCheckError,
     VerificationError,
 )
 from .memo_table import MemoTable
 from .node import ComputationNode
 from .order_maintenance import OrderList
-from .runtime import Runtime
 from .stats import PHASES, EngineStats, RunReport
 from .tracked import TrackingState, tracking_state
 from ..obs.trace import NullSink, TraceSink
@@ -92,36 +91,15 @@ _UNRECOVERABLE = (
     ResultTypeError,
     TenantIsolationError,
     TrackingError,
-    UnknownCheckError,
 )
 
 #: Control-flow exceptions that must never be converted into a fallback.
 _NEVER_CAUGHT = (KeyboardInterrupt, SystemExit, GeneratorExit)
 
-#: Scalar types never treated as heap references by the leaf-call test.
-_SCALARS = (int, float, bool, str, bytes, complex)
-
 #: Maximum misprediction-retry rounds before exceptions are forwarded to the
 #: main program (§3.5: "If an exception still occurs at this stage, the
 #: exception is forwarded on").
 _MAX_RETRY_ROUNDS = 3
-
-#: Valid values of the ``specialize`` engine option.
-_SPECIALIZE_CHOICES = ("off", "on", "auto")
-
-#: Environment values that turn the specialization tier off under
-#: ``specialize="auto"`` (anything else, including unset, leaves it on).
-_SPECIALIZE_OFF_VALUES = ("0", "off", "false", "no")
-
-
-def _resolve_specialize(setting: str) -> bool:
-    """Map the ``specialize`` option (plus ``DITTO_SPECIALIZE`` under
-    ``"auto"``) to the tier decision."""
-    if setting == "auto":
-        env = os.environ.get("DITTO_SPECIALIZE", "").strip().lower()
-        return env not in _SPECIALIZE_OFF_VALUES
-    return setting == "on"
-
 
 #: Valid values of the ``strategy`` engine option (see :mod:`repro.derive`):
 #: ``"memo"`` always repairs through the memo graph; ``"derived"`` requires
@@ -152,9 +130,9 @@ class DittoEngine:
     _step_hook_interval: int = 128
     _hook_countdown: int = 128
     #: True iff a step limit or step hook is armed.  This is the single
-    #: per-step test both tiers perform before entering :meth:`_step_tail`,
-    #: so unlimited runs pay one attribute load per step instead of the
-    #: limit/hook/countdown cascade.
+    #: per-step test the compiled closures perform before entering
+    #: :meth:`_step_tail`, so unlimited runs pay one attribute load per step
+    #: instead of the limit/hook/countdown cascade.
     _step_active: bool = False
 
     def __init__(
@@ -173,16 +151,10 @@ class DittoEngine:
         step_hook: Optional[Callable[["DittoEngine"], None]] = None,
         step_hook_interval: int = 128,
         profiler: Optional["RepairProfiler"] = None,
-        specialize: str = "auto",
         strategy: str = "auto",
     ):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if specialize not in _SPECIALIZE_CHOICES:
-            raise ValueError(
-                f"specialize must be one of {_SPECIALIZE_CHOICES}, got "
-                f"{specialize!r}"
-            )
         if strategy not in _STRATEGY_CHOICES:
             raise ValueError(
                 f"strategy must be one of {_STRATEGY_CHOICES}, got "
@@ -226,7 +198,6 @@ class DittoEngine:
         self.stats = EngineStats()
         self.table = MemoTable(self.tracking)
         self.order = OrderList()
-        self.runtime = Runtime(self)
         # Observability (repro.obs).  ``tracing`` is the single boolean the
         # hot paths test: with the default NullSink no event is ever built.
         self._sink: TraceSink = trace_sink if trace_sink is not None else NullSink()
@@ -294,8 +265,8 @@ class DittoEngine:
         self.tracking.monitor_fields(self.monitored_fields)
         self._log_cid = self.tracking.write_log.register()
 
-        # Execution state the compiled tiers close over (the stack list is
-        # pre-bound by specialized closures and must exist before compile).
+        # Execution state the compiled closures close over (the stack list
+        # is pre-bound by them and must exist before compile).
         self._stack: list[ComputationNode] = []
 
         # Repair strategy (repro.derive): when the fold classifier accepts
@@ -329,28 +300,12 @@ class DittoEngine:
                 )
 
         # Compile instrumented versions (Figure 3) of every check function.
-        #: Whether the specialization tier compiles this engine's checks
-        #: (``specialize`` kwarg, ``DITTO_SPECIALIZE`` env under "auto");
-        #: irrelevant in scratch mode, which runs the original source.
-        self.specialize = specialize
-        self.specialized = mode != "scratch" and _resolve_specialize(specialize)
+        # Scratch engines run the original source, and derived engines never
+        # call into the memo graph, so neither compiles: construction cost
+        # stays proportional to what the engine runs.
         self._compiled: dict[int, Any] = {}
-        if self.derived is not None:
-            # Derived engines never call into the memo tiers; skipping
-            # instrumentation keeps their construction cost proportional
-            # to the classifier, not the compiler.
-            pass
-        elif self.specialized:
-            from ..instrument.specialize import specialize_closure
-
+        if mode != "scratch" and self.derived is None:
             self._compiled.update(specialize_closure(self))
-        else:
-            for fn in self.functions.values():
-                uid_map = {
-                    name: callee.uid
-                    for name, callee in fn.resolve_callees().items()
-                }
-                self._compiled[fn.uid] = instrument(fn, uid_map, self.runtime)
         self._root: Optional[ComputationNode] = None
         # Artificial caller pinning the root so it is never pruned.
         self._anchor = ComputationNode(self.entry, ArgsKey(("<anchor>",)))
@@ -391,7 +346,7 @@ class DittoEngine:
         self._sink = sink if sink is not None else NullSink()
         self.tracing = not isinstance(self._sink, NullSink)
 
-    # Step accounting (shared by the interpreter and specialized tiers). -----------
+    # Step accounting. ---------------------------------------------------------------
 
     @property
     def step_limit(self) -> Optional[int]:
@@ -441,10 +396,9 @@ class DittoEngine:
         self._hook_countdown = interval
 
     def _step_tail(self) -> None:
-        """Slow half of per-step accounting, entered only when
-        ``_step_active`` (a limit or hook is armed).  ``Runtime._step`` and
-        the specialized tier's inlined step sequence share this so the two
-        tiers cannot drift."""
+        """Slow half of per-step accounting, entered from the compiled
+        closures' inlined step sequence only when ``_step_active`` (a limit
+        or hook is armed)."""
         if (
             self._step_limit is not None
             and self.in_incremental_run
@@ -1033,9 +987,6 @@ class DittoEngine:
 
     # Node execution (Figure 7's ``exec``). -------------------------------------------
 
-    def current_node(self) -> ComputationNode:
-        return self._stack[-1]
-
     def _exec(self, node: ComputationNode) -> Any:
         """(Re-)execute ``node``'s invocation against the current program
         state, rebuilding its implicit arguments and call edges."""
@@ -1165,42 +1116,6 @@ class DittoEngine:
         if self.tracing:
             self._sink.span("prune", start, dur, {"removed": len(removed)})
 
-    # Memoized call dispatch (Figures 6/7 ``memo``). ---------------------------------
-
-    def memo_call(self, uid: int, args: tuple) -> Any:
-        """Entry point for ``__ditto_rt__.call`` from instrumented code."""
-        func = self.functions.get(uid)
-        if func is None:
-            raise UnknownCheckError(f"no check function with uid {uid}")
-        if self.leaf_optimization and _is_leaf_call(args):
-            # §4 "Optimizing leaf calls": run outright, attributing any
-            # implicit reads to the caller; no memo entry is created.
-            self.stats.leaf_execs += 1
-            if self.tracing:
-                self._sink.instant(
-                    "leaf_exec", time.perf_counter(), {"func": func.name}
-                )
-            return self._compiled[uid](*args)
-        caller = self._stack[-1]
-        key = ArgsKey(args)
-        table = self.table
-        node, created = table.get_or_create(func, key)
-        if created:
-            self.stats.nodes_created += 1
-            node.order_rec = self.order.insert_last()
-        table.add_edge(caller, node)
-        if node.dirty or not node.has_result:
-            return self._exec(node)
-        if self.mode == "naive":
-            return self._naive_value(node)
-        # Optimistic memoization: reuse without validating callee returns.
-        self.stats.reuses += 1
-        if self.tracing:
-            self._sink.instant(
-                "reuse", time.perf_counter(), {"node": node.func.name}
-            )
-        return node.return_val
-
     def _naive_value(self, node: ComputationNode) -> Any:
         """Figure 6's memo: reuse only after replaying every callee and
         confirming each returns its cached value."""
@@ -1302,14 +1217,3 @@ def _same_value(a: Any, b: Any) -> bool:
     change from ``True`` to ``1`` still propagates."""
     return type(a) is type(b) and a == b
 
-
-def _is_leaf_call(args: tuple) -> bool:
-    """Paper §4: a call is a leaf call if it has at least one reference
-    argument and all its reference arguments are None."""
-    has_ref = False
-    for a in args:
-        if a is None:
-            has_ref = True
-        elif not isinstance(a, _SCALARS):
-            return False
-    return has_ref

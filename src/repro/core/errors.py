@@ -43,10 +43,6 @@ class InstrumentationError(DittoError):
     """The source-to-source transformation could not instrument a check."""
 
 
-class UnknownCheckError(DittoError):
-    """A name was used as a check function but never registered with @check."""
-
-
 class CyclicCheckError(DittoError):
     """A check invocation recursively re-entered itself with the same
     explicit arguments before producing a result.

@@ -403,7 +403,7 @@ class TrackedArray:
     The Python analog of a Java array used by a check (hash-table buckets,
     the Netcols grid, ``reserved_names``).  Reading is plain indexing; the
     instrumented check records :class:`IndexLocation` /
-    :class:`LengthLocation` implicit arguments through the runtime.
+    :class:`LengthLocation` implicit arguments through its compiled reads.
 
     Instances are slotted: the barrier fast path touches exactly three
     attributes and never pays for a per-instance ``__dict__``.

@@ -5,7 +5,6 @@ from .recursify import RecursifyError, recursify
 from .registry import CheckFunction, check, closure_of
 from .transform import (
     IMMUTABLE_RECEIVERS,
-    instrument,
     instrumented_source,
     register_pure_helper,
     register_pure_method,
@@ -18,7 +17,6 @@ __all__ = [
     "CheckFunction",
     "closure_of",
     "IMMUTABLE_RECEIVERS",
-    "instrument",
     "instrumented_source",
     "PURE_BUILTINS",
     "recursify",

@@ -1,34 +1,30 @@
-"""The specialization tier: per-check compiled closures for the hot path.
+"""Compiled checks: per-check closures for the hot path.
 
-The interpreter tier (:mod:`repro.instrument.transform`) routes every
-instrumented operation through generic :class:`~repro.core.runtime.Runtime`
-method dispatch — ``__ditto_rt__.get_attr(e, 'next')`` costs a method frame,
-a ``_step`` frame, a ``_ditto_location`` frame, and a ``record_implicit``
-frame before the field is actually read.  Those constant factors are what
-§5.1.1's crossover size measures: incremental checking only wins once the
-structure outgrows them.
+Every engine compiles each function in its check closure once, against a
+set of *pre-bound closures* built for that engine.  The rewrite is Figure
+3's (:mod:`repro.instrument.transform`); only the spelling of a diverted
+operation differs:
 
-This tier compiles each check against a set of *pre-bound closures* built
-once per engine:
-
-======================================  =======================================
-interpreter tier                        specialization tier
-======================================  =======================================
-``__ditto_rt__.get_attr(e, 'next')``    ``__dget__(e, 'next')``
-``__ditto_rt__.get_item(b, i)``         ``__ditem__(b, i)``
-``__ditto_rt__.get_len(b)``             ``__dlen__(b)``
-``__ditto_rt__.call(<uid>, ...)``       ``__dcall_<uid>__(...)``
-``__ditto_rt__.helper(f, x)``           ``__dhelper__(f, x)``
-``__ditto_rt__.method(k, 'hash', ...)`` ``__dmethod__(k, 'hash', ...)``
-======================================  =======================================
+================================  =====================================
+check code                        compiled code
+================================  =====================================
+``e.next``          (field read)  ``__dget__(e, 'next')``
+``b[i]``          (element read)  ``__ditem__(b, i)``
+``len(b)``         (length read)  ``__dlen__(b)``
+``f(...)``          (check call)  ``__dcall_<uid>__(...)``
+``h(x)``            (other call)  ``__dhelper__(h, x)``
+``k.hash()``       (method call)  ``__dmethod__(k, 'hash')``
+================================  =====================================
 
 Each closure pre-binds the engine state its path touches (the node stack,
 the memo-table dicts, the stats record, the order list, the tracking
 domain) in closure cells and *inlines* the full per-read sequence — step
 accounting, interned-:class:`~repro.core.locations.Location` lookup,
 implicit-argument recording with reverse-map and reference-count
-maintenance, and the adoption fast test — into a single Python frame.  The
-per-call closure ``__dcall_<uid>__`` likewise inlines the
+maintenance, and the adoption fast test — into a single Python frame.
+Those per-operation constant factors are what §5.1.1's crossover size
+measures: incremental checking only wins once the structure outgrows them.
+The per-call closure ``__dcall_<uid>__`` likewise inlines the
 :class:`~repro.core.argkeys.ArgsKey` construction, the memo probe, node
 creation, and call-edge recording, with the §4 leaf-call fast path emitted
 only for callees whose signature makes a leaf call statically possible
@@ -38,20 +34,20 @@ reference argument).
 What stays generic — deliberately:
 
 * ``engine._exec`` / ``engine._naive_value`` are called through pre-bound
-  method references, so misprediction handling, profiler/recorder hooks,
-  and pruning behave identically in both tiers.
-* ``engine._compiled[uid]`` is looked up *dynamically* on the leaf path so
-  the fault injector's compiled-entry wrapping
-  (:mod:`repro.resilience.faults`) still intercepts specialized leaves.
+  method references for dirty re-executions and naive replay, so
+  misprediction handling, profiler/recorder hooks, and pruning live in one
+  place.  A fresh node also detours through ``_exec`` whenever an observer
+  (profiler, provenance recorder, trace sink) is armed, so the observer's
+  hooks fire for it.
+* ``engine._compiled[uid]`` is looked up *dynamically* on the leaf and
+  fresh-node paths so the fault injector's compiled-entry wrapping
+  (:mod:`repro.resilience.faults`) still intercepts them.
 * Rebindable engine state — ``tracing``/``_sink``, ``helper_summaries``,
-  ``verified_helpers`` (rebound by ``engine.lint()``), the step
-  hook/limit — is read through the engine at call time.
-* Step accounting shares :meth:`DittoEngine._step_tail` with the
-  interpreter tier, so hooks and limits cannot drift between tiers.
-
-The two tiers must be *bit-identical* in observable behavior — return
-values, exceptions, stats counters, trace events; the QA oracle's
-``ditto-specialized`` mode diffs them directly over the structure corpus.
+  ``method_summaries``, ``verified_helpers`` (rebound by
+  ``engine.lint()``), the step hook/limit — is read through the engine at
+  call time.
+* The step limit and step hook live in :meth:`DittoEngine._step_tail`,
+  entered only when one of them is armed.
 """
 
 from __future__ import annotations
@@ -62,7 +58,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.argkeys import ArgsKey, _freeze, is_primitive
 from ..core.errors import (
-    InstrumentationError,
     OptimisticMispredictionError,
     ResultTypeError,
     StepLimitExceeded,
@@ -72,97 +67,43 @@ from ..core.locations import FieldLocation, IndexLocation, LengthLocation
 from ..core.node import ComputationNode
 from ..core.order_maintenance import _APPEND_GAP, _UNIVERSE, Record
 from ..core.tracked import TrackedArray, TrackedObject, adopt_container
-from .analysis import PURE_BUILTINS
-from .transform import IMMUTABLE_RECEIVERS, is_pure_helper, is_pure_method
+from .transform import (
+    IMMUTABLE_RECEIVERS,
+    _InstrumentTransformer,
+    is_pure_helper,
+    is_pure_method,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import DittoEngine
     from .registry import CheckFunction
 
-#: Scalar types never treated as heap references by the leaf-call test
-#: (mirrors ``engine._SCALARS``; duplicated to avoid an import cycle).
+#: Scalar types never treated as heap references by the leaf-call test.
 _SCALARS = (int, float, bool, str, bytes, complex)
 
-#: Names injected into every specialized namespace.
-_READER_NAMES = ("__dget__", "__ditem__", "__dlen__", "__dhelper__",
-                 "__dmethod__")
+#: Figure 3 operation name -> the closure that performs it.
+_CLOSURE_NAMES = {
+    "get_attr": "__dget__",
+    "get_item": "__ditem__",
+    "get_len": "__dlen__",
+    "helper": "__dhelper__",
+    "method": "__dmethod__",
+}
 
-_RAW_SETATTR = object.__setattr__
+
+def _call(name: str, args: list[ast.expr]) -> ast.Call:
+    return ast.Call(func=ast.Name(id=name, ctx=ast.Load()), args=args,
+                    keywords=[])
 
 
-class _SpecializeTransformer(ast.NodeTransformer):
-    """Rewrites one check body against the pre-bound closure names."""
+class _SpecializeTransformer(_InstrumentTransformer):
+    """The Figure 3 rewrite, spelled against the pre-bound closure names."""
 
-    def __init__(self, func: "CheckFunction", uid_of_callee: dict[str, int]):
-        self.func = func
-        self.uid_of_callee = uid_of_callee
+    def _divert(self, op: str, args: list[ast.expr]) -> ast.Call:
+        return _call(_CLOSURE_NAMES[op], args)
 
-    def _closure_call(self, name: str, args: list[ast.expr]) -> ast.Call:
-        return ast.Call(
-            func=ast.Name(id=name, ctx=ast.Load()),
-            args=args,
-            keywords=[],
-        )
-
-    def visit_Attribute(self, node: ast.Attribute) -> ast.AST:
-        if not isinstance(node.ctx, ast.Load):
-            raise InstrumentationError(
-                f"{self.func.name}: attribute store survived static checks"
-            )
-        value = self.visit(node.value)
-        return ast.copy_location(
-            self._closure_call(
-                "__dget__", [value, ast.Constant(node.attr)]
-            ),
-            node,
-        )
-
-    def visit_Subscript(self, node: ast.Subscript) -> ast.AST:
-        if not isinstance(node.ctx, ast.Load):
-            raise InstrumentationError(
-                f"{self.func.name}: subscript store survived static checks"
-            )
-        value = self.visit(node.value)
-        index = self.visit(node.slice)
-        return ast.copy_location(
-            self._closure_call("__ditem__", [value, index]), node
-        )
-
-    def visit_Call(self, node: ast.Call) -> ast.AST:
-        args = [self.visit(a) for a in node.args]
-        func_node = node.func
-        if isinstance(func_node, ast.Name):
-            name = func_node.id
-            if name in self.uid_of_callee:
-                return ast.copy_location(
-                    self._closure_call(
-                        f"__dcall_{self.uid_of_callee[name]}__", args
-                    ),
-                    node,
-                )
-            if name == "len" and len(args) == 1:
-                return ast.copy_location(
-                    self._closure_call("__dlen__", args), node
-                )
-            if name in PURE_BUILTINS or name == "range":
-                new = ast.Call(func=func_node, args=args, keywords=[])
-                return ast.copy_location(new, node)
-            return ast.copy_location(
-                self._closure_call("__dhelper__", [func_node] + args), node
-            )
-        if isinstance(func_node, ast.Attribute):
-            receiver = self.visit(func_node.value)
-            return ast.copy_location(
-                self._closure_call(
-                    "__dmethod__",
-                    [receiver, ast.Constant(func_node.attr)] + args,
-                ),
-                node,
-            )
-        raise InstrumentationError(
-            f"{self.func.name}: unsupported call target at line "
-            f"{node.lineno}"
-        )
+    def _divert_call(self, uid: int, args: list[ast.expr]) -> ast.Call:
+        return _call(f"__dcall_{uid}__", args)
 
 
 def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
@@ -179,17 +120,13 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
     entries_reverse = table._reverse
     tracking = engine.tracking
     strict = engine.strict
-    runtime = engine.runtime
-    attribute_reads = runtime._attribute_helper_reads
-    method_summary = runtime._method_summary
     new_field_loc = FieldLocation.__new__
     new_index_loc = IndexLocation.__new__
     new_length_loc = LengthLocation.__new__
 
     def __dget__(obj: Any, name: str) -> Any:
-        # Inlined Runtime.get_attr: step, interned-location lookup, and the
-        # record_implicit path (adopt test, reverse map, location incref)
-        # collapse into this one frame.
+        # Step, interned-location lookup, and the record_implicit path
+        # (adopt test, reverse map, location incref) in this one frame.
         engine.steps += 1
         if engine._step_active:
             engine._step_tail()
@@ -341,6 +278,40 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
             )
         return len(obj)
 
+    def attribute_reads(summary: Any, args: tuple) -> None:
+        # Charge a lint-summarized helper's depth-1 heap reads to the
+        # calling node.  The static analyzer (repro.lint.purity) proved the
+        # helper reads at most ``param.field`` / ``len(param)`` — shallower
+        # than the check itself may — so recording those locations here
+        # keeps Definition 1's implicit-argument set sound even though the
+        # helper body runs uninstrumented.
+        node = stack[-1]
+        nargs = len(args)
+        for index, fields in summary.arg_fields_read.items():
+            if index < nargs and isinstance(args[index], TrackedObject):
+                obj = args[index]
+                for fld in fields:
+                    stats.implicit_reads += 1
+                    table.record_implicit(node, obj._ditto_location(fld))
+        for index in summary.arg_len_read:
+            if index < nargs and isinstance(args[index], TrackedArray):
+                stats.implicit_reads += 1
+                table.record_implicit(
+                    node, args[index]._ditto_location("<len>")
+                )
+
+    def method_summary(receiver: Any, name: str) -> Any:
+        # The registered pure method's read summary, resolved along the
+        # receiver's MRO (mirrors ``is_pure_method`` resolution).
+        summaries = engine.method_summaries
+        if not summaries:
+            return None
+        for cls in type(receiver).__mro__:
+            summary = summaries.get((cls, name))
+            if summary is not None:
+                return summary
+        return None
+
     def __dhelper__(func: Any, *args: Any) -> Any:
         engine.steps += 1
         if engine._step_active:
@@ -374,6 +345,8 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
             )
         summary = method_summary(receiver, name)
         if summary is not None:
+            # The method body runs uninstrumented; charge its depth-1
+            # receiver/argument reads to the calling node, as for helpers.
             attribute_reads(summary, (receiver,) + args)
         return getattr(receiver, name)(*args)
 
@@ -389,7 +362,7 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
 def _abort_fresh_exec(engine: "DittoEngine", node: ComputationNode,
                       exc: BaseException) -> bool:
     """Mirror of ``DittoEngine._exec``'s exception branch for a fresh node
-    whose execution the specialized tier inlined: roll back the partially
+    whose execution ``__dcall_<uid>__`` inlined: roll back the partially
     recorded call edges and decide whether the failure is an optimistic
     misprediction (True) or should propagate as-is (False).  Exceptional
     path only — frames here cost nothing in the steady state."""
@@ -592,18 +565,12 @@ def specialize(
     uid_of_callee: dict[str, int],
     closures: dict[str, Callable],
 ) -> Callable:
-    """Compile the specialized version of one check function against the
-    engine's pre-bound closures (the ``closures`` mapping must provide the
-    reader names and every ``__dcall_<uid>__`` the body references)."""
-    tree = func.tree()
-    # Work on a private copy so multiple engines can specialize one check.
-    tree = ast.parse(ast.unparse(tree)).body[0]
-    assert isinstance(tree, ast.FunctionDef)
-    transformer = _SpecializeTransformer(func, uid_of_callee)
-    tree.body = [transformer.visit(stmt) for stmt in tree.body]
+    """Compile one check function against the engine's pre-bound closures
+    (the ``closures`` mapping must provide the reader names and every
+    ``__dcall_<uid>__`` the body references)."""
+    tree = _SpecializeTransformer(func, uid_of_callee).rewrite()
     tree.name = f"__ditto_{func.name}__"
     module = ast.Module(body=[tree], type_ignores=[])
-    ast.fix_missing_locations(module)
     code = compile(
         module, filename=f"<ditto-specialized:{func.qualname}>", mode="exec"
     )
@@ -618,8 +585,8 @@ def specialize(
 
 
 def specialize_closure(engine: "DittoEngine") -> dict[int, Callable]:
-    """Compile every function in ``engine``'s check closure against the
-    specialization tier; returns ``uid -> compiled``."""
+    """Compile every function in ``engine``'s check closure; returns
+    ``uid -> compiled``."""
     readers = _make_reader_closures(engine)
     dcalls = {
         uid: _make_dcall(engine, fn)
@@ -636,15 +603,3 @@ def specialize_closure(engine: "DittoEngine") -> dict[int, Callable]:
             closures[f"__dcall_{callee_uid}__"] = dcalls[callee_uid]
         compiled[uid] = specialize(fn, uid_map, closures)
     return compiled
-
-
-def specialized_source(
-    func: "CheckFunction", uid_of_callee: dict[str, int]
-) -> str:
-    """The specialized source text (documentation/debugging view)."""
-    tree = ast.parse(ast.unparse(func.tree())).body[0]
-    assert isinstance(tree, ast.FunctionDef)
-    transformer = _SpecializeTransformer(func, uid_of_callee)
-    tree.body = [transformer.visit(stmt) for stmt in tree.body]
-    ast.fix_missing_locations(tree)
-    return ast.unparse(tree)

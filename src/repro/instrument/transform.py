@@ -2,8 +2,9 @@
 
 The original DITTO rewrites Java bytecode with Javassist; this reproduction
 rewrites the check function's AST and recompiles it.  The transformation
-diverts every operation the incrementalizer cares about through the engine's
-runtime object (bound as ``__ditto_rt__`` in the compiled namespace):
+diverts every operation the incrementalizer cares about through the engine.
+:func:`instrumented_source` renders the rewrite in the paper's Figure 3
+shape, with each diverted operation spelled as a call on ``__ditto_rt__``:
 
 ====================================  =========================================
 original check code                   instrumented code
@@ -16,13 +17,18 @@ original check code                   instrumented code
 ``helper(x)``         (other call)    ``__ditto_rt__.helper(helper, x)``
 ====================================  =========================================
 
-``get_attr``/``get_item``/``get_len`` record the read location as an
-implicit argument of the executing node; ``call`` is the memoization entry
-point (``getMemoEntry`` + recursion in Figure 3); ``helper``/``method``
-enforce purity of non-check calls at runtime.  Calls to pure builtins
-(``abs``, ``min`` …) are left untouched.  The paper's try/catch for
-optimistic mispredictions lives in the engine's ``exec`` wrapper rather than
-in the rewritten body — same semantics, one catch site.
+The code that runs is the same rewrite with each operation spelled as one
+of the engine's pre-bound closures instead (``__ditto_rt__.get_attr`` →
+``__dget__``, ``get_item`` → ``__ditem__``, ``get_len`` → ``__dlen__``,
+``call(<uid>, ...)`` → ``__dcall_<uid>__(...)``, ``helper`` →
+``__dhelper__``, ``method`` → ``__dmethod__``; see
+:mod:`repro.instrument.specialize`).  The reads record the read location as
+an implicit argument of the executing node; the check call is the
+memoization entry point (``getMemoEntry`` + recursion in Figure 3); helper
+and method calls enforce purity of non-check calls at runtime.  Calls to
+pure builtins (``abs``, ``min`` …) are left untouched.  The paper's
+try/catch for optimistic mispredictions lives in the engine's ``exec``
+wrapper rather than in the rewritten body — same semantics, one catch site.
 """
 
 from __future__ import annotations
@@ -77,22 +83,41 @@ def is_pure_method(receiver: Any, method_name: str) -> bool:
 
 
 class _InstrumentTransformer(ast.NodeTransformer):
-    """Rewrites one check function body."""
+    """Rewrites one check function body.
+
+    Every diverted operation goes through :meth:`_divert` /
+    :meth:`_divert_call`, which spell it the Figure 3 way; the engine's
+    compiled form (:mod:`repro.instrument.specialize`) subclasses this and
+    changes only that spelling."""
 
     def __init__(self, func: "CheckFunction", uid_of_callee: dict[str, int]):
         self.func = func
         self.uid_of_callee = uid_of_callee
 
-    def _rt_call(self, method: str, args: list[ast.expr]) -> ast.Call:
+    def rewrite(self) -> ast.FunctionDef:
+        """Rewrite a private copy of the check's definition (so several
+        engines can compile one check)."""
+        tree = ast.parse(ast.unparse(self.func.tree())).body[0]
+        assert isinstance(tree, ast.FunctionDef)
+        tree.body = [self.visit(stmt) for stmt in tree.body]
+        ast.fix_missing_locations(tree)
+        return tree
+
+    def _divert(self, op: str, args: list[ast.expr]) -> ast.Call:
+        """Spell diverted operation ``op`` as ``__ditto_rt__.<op>(args)``."""
         return ast.Call(
             func=ast.Attribute(
                 value=ast.Name(id=_RT, ctx=ast.Load()),
-                attr=method,
+                attr=op,
                 ctx=ast.Load(),
             ),
             args=args,
             keywords=[],
         )
+
+    def _divert_call(self, uid: int, args: list[ast.expr]) -> ast.Call:
+        """Spell a memoized call of the check with ``uid``."""
+        return self._divert("call", [ast.Constant(uid)] + args)
 
     def visit_Attribute(self, node: ast.Attribute) -> ast.AST:
         if not isinstance(node.ctx, ast.Load):
@@ -101,7 +126,7 @@ class _InstrumentTransformer(ast.NodeTransformer):
             )
         value = self.visit(node.value)
         return ast.copy_location(
-            self._rt_call("get_attr", [value, ast.Constant(node.attr)]), node
+            self._divert("get_attr", [value, ast.Constant(node.attr)]), node
         )
 
     def visit_Subscript(self, node: ast.Subscript) -> ast.AST:
@@ -112,7 +137,7 @@ class _InstrumentTransformer(ast.NodeTransformer):
         value = self.visit(node.value)
         index = self.visit(node.slice)
         return ast.copy_location(
-            self._rt_call("get_item", [value, index]), node
+            self._divert("get_item", [value, index]), node
         )
 
     def visit_Call(self, node: ast.Call) -> ast.AST:
@@ -122,25 +147,20 @@ class _InstrumentTransformer(ast.NodeTransformer):
             name = func_node.id
             if name in self.uid_of_callee:
                 return ast.copy_location(
-                    self._rt_call(
-                        "call", [ast.Constant(self.uid_of_callee[name])] + args
-                    ),
-                    node,
+                    self._divert_call(self.uid_of_callee[name], args), node
                 )
             if name == "len" and len(args) == 1:
-                return ast.copy_location(
-                    self._rt_call("get_len", args), node
-                )
+                return ast.copy_location(self._divert("get_len", args), node)
             if name in PURE_BUILTINS or name == "range":
                 new = ast.Call(func=func_node, args=args, keywords=[])
                 return ast.copy_location(new, node)
             return ast.copy_location(
-                self._rt_call("helper", [func_node] + args), node
+                self._divert("helper", [func_node] + args), node
             )
         if isinstance(func_node, ast.Attribute):
             receiver = self.visit(func_node.value)
             return ast.copy_location(
-                self._rt_call(
+                self._divert(
                     "method", [receiver, ast.Constant(func_node.attr)] + args
                 ),
                 node,
@@ -151,39 +171,9 @@ class _InstrumentTransformer(ast.NodeTransformer):
         )
 
 
-def instrument(
-    func: "CheckFunction", uid_of_callee: dict[str, int], rt: Any
-) -> Callable:
-    """Compile and return the instrumented version of ``func``, with the
-    runtime object ``rt`` bound as ``__ditto_rt__``."""
-    tree = func.tree()
-    # Work on a private copy so multiple engines can instrument one check.
-    tree = ast.parse(ast.unparse(tree)).body[0]
-    assert isinstance(tree, ast.FunctionDef)
-    transformer = _InstrumentTransformer(func, uid_of_callee)
-    new_body = [transformer.visit(stmt) for stmt in tree.body]
-    tree.body = new_body
-    tree.name = f"__ditto_{func.name}__"
-    module = ast.Module(body=[tree], type_ignores=[])
-    ast.fix_missing_locations(module)
-    code = compile(module, filename=f"<ditto:{func.qualname}>", mode="exec")
-    namespace: dict[str, Any] = dict(func.globals)
-    namespace.update(func.closure_vars())
-    namespace[_RT] = rt
-    exec(code, namespace)
-    compiled = namespace[tree.name]
-    compiled.__ditto_source__ = ast.unparse(tree)
-    return compiled
-
-
 def instrumented_source(
     func: "CheckFunction", uid_of_callee: dict[str, int]
 ) -> str:
     """Return the instrumented source text (for documentation/debugging;
     the Figure 3 view of a check)."""
-    tree = ast.parse(ast.unparse(func.tree())).body[0]
-    assert isinstance(tree, ast.FunctionDef)
-    transformer = _InstrumentTransformer(func, uid_of_callee)
-    tree.body = [transformer.visit(stmt) for stmt in tree.body]
-    ast.fix_missing_locations(tree)
-    return ast.unparse(tree)
+    return ast.unparse(_InstrumentTransformer(func, uid_of_callee).rewrite())

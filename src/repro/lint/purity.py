@@ -1,6 +1,6 @@
 """Summary-based purity analysis of non-check helpers.
 
-Checks call out to helper functions (``__ditto_rt__.helper``) that run
+Checks call out to helper functions (``__dhelper__``) that run
 *uninstrumented*: their heap reads are not recorded as implicit arguments
 and their writes are not policed.  The runtime trusts a whitelist
 (``register_pure_helper``); this module is the static complement — it

@@ -38,13 +38,6 @@ from .trace import CHECK, FAULT, Op, Trace
 #: Engine modes the oracle compares, truth source first.
 DEFAULT_MODES = ("scratch", "ditto", "naive")
 
-#: Tier qualifiers an incremental mode may carry (``ditto-specialized``
-#: pins the compiled tier on, ``ditto-interpreted`` pins it off; a bare
-#: mode inherits the engine default / ``DITTO_SPECIALIZE``).  The QA
-#: cross-tier corpus runs ``ditto-specialized`` against
-#: ``ditto-interpreted`` and demands bit-identical outcomes and counters.
-_TIER_SUFFIXES = {"specialized": "on", "interpreted": "off"}
-
 #: Strategy modes (:mod:`repro.derive`): ``derived`` pins the fold-
 #: maintenance strategy on (construction fails unless the entry
 #: classifies), ``hybrid`` lets the engine pick per entry.  Both run in
@@ -54,19 +47,11 @@ _TIER_SUFFIXES = {"specialized": "on", "interpreted": "off"}
 _STRATEGY_MODES = {"derived": "derived", "hybrid": "hybrid"}
 
 
-def _engine_config(mode: str) -> tuple[str, str, str]:
-    """Split an oracle mode into ``(engine_mode, specialize, strategy)``."""
-    base, _, tier = mode.partition("-")
-    strategy = _STRATEGY_MODES.get(base, "memo")
-    engine_mode = "ditto" if base in _STRATEGY_MODES else base
-    if not tier:
-        return engine_mode, "auto", strategy
-    if base == "scratch" or tier not in _TIER_SUFFIXES:
-        raise ValueError(
-            f"invalid oracle mode {mode!r}: tier suffixes "
-            f"{sorted(_TIER_SUFFIXES)} apply to incremental modes only"
-        )
-    return engine_mode, _TIER_SUFFIXES[tier], strategy
+def _engine_config(mode: str) -> tuple[str, str]:
+    """Split an oracle mode into ``(engine_mode, strategy)``."""
+    if mode in _STRATEGY_MODES:
+        return "ditto", _STRATEGY_MODES[mode]
+    return mode, "memo"
 
 
 @dataclass
@@ -102,10 +87,6 @@ class OracleReport:
     audit_findings: dict[str, list[str]] = field(default_factory=dict)
     faults_armed: int = 0
     duration: float = 0.0
-    #: Final per-mode engine counters (int fields of ``EngineStats``),
-    #: captured after the last check so cross-tier replays can assert the
-    #: tiers did identical work, not merely returned identical values.
-    engine_stats: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -117,18 +98,6 @@ class OracleReport:
             f"{self.structure}: {self.ops_applied} ops, "
             f"{self.checks_run} checks, {verdict} ({self.duration:.2f}s)"
         )
-
-
-def _int_counters(stats: Any) -> dict[str, int]:
-    """The integer counter fields of an ``EngineStats`` (phase timers are
-    wall-clock and excluded: tiers must match in work done, not seconds)."""
-    from dataclasses import fields as dataclass_fields
-
-    return {
-        f.name: getattr(stats, f.name)
-        for f in dataclass_fields(stats)
-        if isinstance(getattr(stats, f.name), int)
-    }
 
 
 def _outcome(engine: DittoEngine, args: tuple) -> tuple[str, Any]:
@@ -170,8 +139,6 @@ class Oracle:
                 "oracle needs 'scratch' (ground truth) plus at least one "
                 f"incremental mode, got {modes!r}"
             )
-        for mode in modes:
-            _engine_config(mode)  # raises on malformed tier qualifiers
         self.modes = modes
         self.audit = audit
         #: Also run the assertion-based ``engine.validate()`` after the
@@ -197,13 +164,12 @@ class Oracle:
                 # scratch emits one exec span per run, which would drown
                 # the repair spans the trace exists to show.
                 sink = self.trace_sink if mode != "scratch" else None
-                engine_mode, specialize, strategy = _engine_config(mode)
+                engine_mode, strategy = _engine_config(mode)
                 engines[mode] = DittoEngine(
                     self.model.entry,
                     mode=engine_mode,
                     recursion_limit=None,
                     trace_sink=sink,
-                    specialize=specialize,
                     strategy=strategy,
                 )
             structure = self.model.fresh()
@@ -258,8 +224,7 @@ class Oracle:
         finally:
             for injector in injectors:
                 injector.__exit__(None, None, None)
-            for mode, engine in engines.items():
-                report.engine_stats[mode] = _int_counters(engine.stats)
+            for engine in engines.values():
                 engine.close()
         report.duration = time.perf_counter() - started
         self._record_metrics(report)

@@ -1,5 +1,5 @@
 """Engine edge cases: result types, empty structures, deep recursion,
-tuple returns, UnknownCheckError, write-log hygiene, graph reuse limits."""
+tuple returns, write-log hygiene, graph reuse limits."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro import (
     DittoEngine,
     TrackedArray,
     TrackedObject,
-    UnknownCheckError,
     check,
     tracking_state,
 )
@@ -107,18 +106,6 @@ class TestDeepStructures:
 
     def test_run_with_big_stack_returns_value(self):
         assert run_with_big_stack(lambda: 42) == 42
-
-
-class TestUnknownCheck:
-    def test_unknown_uid_raises(self, engine_factory):
-        @check
-        def trivial(e):
-            return True
-
-        engine = engine_factory(trivial)
-        engine.run(None)
-        with pytest.raises(UnknownCheckError):
-            engine.memo_call(999_999, (None,))
 
 
 class TestWriteLogHygiene:

@@ -18,14 +18,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro import DittoEngine, TrackedArray, TrackedObject
 from repro.apps.jso import JsObfuscator, generate_program, jso_invariant
 from repro.core.node import ComputationNode
 from repro.structures.red_black_tree import RedBlackTree, rbt_invariant
-
-TIERS = ("off", "on")
 
 
 def _diagnostics_only(self):
@@ -34,8 +30,7 @@ def _diagnostics_only(self):
     )
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_rbt_repair_never_sums_callers(tier, monkeypatch):
+def test_rbt_repair_never_sums_callers(monkeypatch):
     rng = random.Random(11)
     tree = RedBlackTree()
     keys: list[int] = []
@@ -44,7 +39,7 @@ def test_rbt_repair_never_sums_callers(tier, monkeypatch):
         if key not in tree:
             keys.append(key)
             tree.insert(key, key)
-    engine = DittoEngine(rbt_invariant, specialize=tier, recursion_limit=None)
+    engine = DittoEngine(rbt_invariant, recursion_limit=None)
     try:
         assert engine.run(tree) is True
         monkeypatch.setattr(
@@ -65,10 +60,9 @@ def test_rbt_repair_never_sums_callers(tier, monkeypatch):
         engine.close()
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_jso_close_releases_once_per_location(tier, monkeypatch):
+def test_jso_close_releases_once_per_location(monkeypatch):
     jso = JsObfuscator()
-    engine = DittoEngine(jso_invariant, specialize=tier, recursion_limit=None)
+    engine = DittoEngine(jso_invariant, recursion_limit=None)
     try:
         for chunk in generate_program(250, seed=3):
             jso.feed(chunk)

@@ -118,7 +118,7 @@ def test_pure_method_reads_are_attributed(engine_factory):
     attributes those reads to the calling node, so mutating the field the
     *method* (not the check body) reads still dirties and repairs the
     graph.  Before method-read attribution this served a stale result:
-    ``Runtime.method`` policed purity but recorded nothing."""
+    the method dispatch policed purity but recorded nothing."""
     from repro import TrackedObject, check, register_pure_method
 
     class Tag(TrackedObject):

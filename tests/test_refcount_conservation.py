@@ -4,8 +4,7 @@ The write barrier skips a store when the §4 counts say no computation node
 reads it, so the counts must be exact: an over-release silently drops
 writes another engine depends on, an under-release keeps paying for
 barriers nobody needs.  These tests drive the paper workloads (a
-red-black tree, a Netcols board, a JSO program) under both execution
-tiers and check three things:
+red-black tree, a Netcols board, a JSO program) and check three things:
 
 * while a graph is live, every container's ``_ditto_refcount`` and
   ``_ditto_locrefs``, and every interned location's ``refcount``, equal
@@ -43,8 +42,6 @@ from repro.core.argkeys import ArgsKey
 from repro.core.locations import FieldLocation
 from repro.core.tracked import tracking_state
 from repro.structures.red_black_tree import RedBlackTree, rbt_invariant
-
-TIERS = ("off", "on")
 
 
 # Seeded workloads (small versions of the benchmark's). -----------------------
@@ -245,15 +242,12 @@ TEARDOWNS = {
 
 @pytest.mark.parametrize("teardown", sorted(TEARDOWNS))
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
-@pytest.mark.parametrize("tier", TIERS)
-def test_teardown_returns_counts_to_baseline(tier, workload_name, teardown):
+def test_teardown_returns_counts_to_baseline(workload_name, teardown):
     workload = WORKLOADS[workload_name]()
     seen: dict[int, object] = {}
     _reachable(workload.args(), seen)
     baseline = _counts(seen)
-    engine = DittoEngine(
-        workload.entry, specialize=tier, recursion_limit=None
-    )
+    engine = DittoEngine(workload.entry, recursion_limit=None)
     try:
         _warm(engine, workload, seen, events=40)
         _reachable(workload.args(), seen)
@@ -268,15 +262,14 @@ def test_teardown_returns_counts_to_baseline(tier, workload_name, teardown):
     _assert_counts(baseline, seen)
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_rebuilding_fallback_leaves_exact_counts(tier):
+def test_rebuilding_fallback_leaves_exact_counts():
     """Without a cooldown the step-limit fallback rebuilds in place: the
     counts are then exactly the rebuilt graph's census."""
     workload = RbtWorkload()
     seen: dict[int, object] = {}
     _reachable(workload.args(), seen)
     baseline = _counts(seen)
-    engine = DittoEngine(rbt_invariant, specialize=tier, recursion_limit=None)
+    engine = DittoEngine(rbt_invariant, recursion_limit=None)
     try:
         _warm(engine, workload, seen, events=20)
         engine.step_limit = 1
@@ -292,17 +285,14 @@ def test_rebuilding_fallback_leaves_exact_counts(tier):
     _assert_counts(baseline, seen)
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_closing_one_of_two_engines_keeps_survivor_exact(tier):
+def test_closing_one_of_two_engines_keeps_survivor_exact():
     workload = RbtWorkload(seed=7)
     tree = workload.tree
     seen: dict[int, object] = {}
     _reachable(workload.args(), seen)
     baseline = _counts(seen)
-    first = DittoEngine(rbt_invariant, specialize=tier, recursion_limit=None)
-    survivor = DittoEngine(
-        rbt_invariant, specialize=tier, recursion_limit=None
-    )
+    first = DittoEngine(rbt_invariant, recursion_limit=None)
+    survivor = DittoEngine(rbt_invariant, recursion_limit=None)
     try:
         for _ in range(30):
             workload.mutate()
@@ -407,12 +397,11 @@ class TestCoarseDuckContainer:
         assert all(not node.implicits for node in nodes)
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_teardown_leaves_no_reference_cycles(tier):
+def test_teardown_leaves_no_reference_cycles():
     """The discarded graph is freed by reference counting alone: no node,
     edge or order record is left for the cyclic collector."""
     workload = RbtWorkload(seed=3)
-    engine = DittoEngine(rbt_invariant, specialize=tier, recursion_limit=None)
+    engine = DittoEngine(rbt_invariant, recursion_limit=None)
     try:
         _warm(engine, workload, {}, events=20)
         gc.collect()
