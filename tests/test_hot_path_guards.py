@@ -12,16 +12,34 @@ the *shape* of the work instead:
 * ``close()`` releases a finished JSO program's reference counts with at
   most one release per distinct location, not one ``_ditto_decref_loc``
   call per (node, location) pair.
+
+Both run without and with an observer: with a trace sink armed, fresh
+nodes are built through the engine's generic ``_exec`` rather than inline
+in the compiled call closure, and each path must keep these bounds.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro import DittoEngine, TrackedArray, TrackedObject
 from repro.apps.jso import JsObfuscator, generate_program, jso_invariant
 from repro.core.node import ComputationNode
+from repro.obs import RingBufferSink
 from repro.structures.red_black_tree import RedBlackTree, rbt_invariant
+
+#: "off": no observer, so a fresh node executes inline in its compiled
+#: call closure; "on": a trace sink is armed, so every fresh node detours
+#: through the engine's generic ``_exec``.
+OBSERVED = pytest.mark.parametrize(
+    "observed", [False, True], ids=["off", "on"]
+)
+
+
+def _sink(observed):
+    return RingBufferSink() if observed else None
 
 
 def _diagnostics_only(self):
@@ -30,7 +48,8 @@ def _diagnostics_only(self):
     )
 
 
-def test_rbt_repair_never_sums_callers(monkeypatch):
+@OBSERVED
+def test_rbt_repair_never_sums_callers(observed, monkeypatch):
     rng = random.Random(11)
     tree = RedBlackTree()
     keys: list[int] = []
@@ -39,7 +58,9 @@ def test_rbt_repair_never_sums_callers(monkeypatch):
         if key not in tree:
             keys.append(key)
             tree.insert(key, key)
-    engine = DittoEngine(rbt_invariant, recursion_limit=None)
+    engine = DittoEngine(
+        rbt_invariant, trace_sink=_sink(observed), recursion_limit=None
+    )
     try:
         assert engine.run(tree) is True
         monkeypatch.setattr(
@@ -60,9 +81,12 @@ def test_rbt_repair_never_sums_callers(monkeypatch):
         engine.close()
 
 
-def test_jso_close_releases_once_per_location(monkeypatch):
+@OBSERVED
+def test_jso_close_releases_once_per_location(observed, monkeypatch):
     jso = JsObfuscator()
-    engine = DittoEngine(jso_invariant, recursion_limit=None)
+    engine = DittoEngine(
+        jso_invariant, trace_sink=_sink(observed), recursion_limit=None
+    )
     try:
         for chunk in generate_program(250, seed=3):
             jso.feed(chunk)

@@ -4,7 +4,9 @@ The write barrier skips a store when the §4 counts say no computation node
 reads it, so the counts must be exact: an over-release silently drops
 writes another engine depends on, an under-release keeps paying for
 barriers nobody needs.  These tests drive the paper workloads (a
-red-black tree, a Netcols board, a JSO program) and check three things:
+red-black tree, a Netcols board, a JSO program) without and with an
+observer (a trace sink routes fresh nodes through the engine's generic
+``_exec`` instead of the compiled call closure) and check three things:
 
 * while a graph is live, every container's ``_ditto_refcount`` and
   ``_ditto_locrefs``, and every interned location's ``refcount``, equal
@@ -41,7 +43,19 @@ from repro.core import MemoTable
 from repro.core.argkeys import ArgsKey
 from repro.core.locations import FieldLocation
 from repro.core.tracked import tracking_state
+from repro.obs import RingBufferSink
 from repro.structures.red_black_tree import RedBlackTree, rbt_invariant
+
+#: "off": no observer, so a fresh node executes inline in its compiled
+#: call closure; "on": a trace sink is armed, so every fresh node detours
+#: through the engine's generic ``_exec``.
+OBSERVED = pytest.mark.parametrize(
+    "observed", [False, True], ids=["off", "on"]
+)
+
+
+def _sink(observed):
+    return RingBufferSink() if observed else None
 
 
 # Seeded workloads (small versions of the benchmark's). -----------------------
@@ -242,12 +256,17 @@ TEARDOWNS = {
 
 @pytest.mark.parametrize("teardown", sorted(TEARDOWNS))
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
-def test_teardown_returns_counts_to_baseline(workload_name, teardown):
+@OBSERVED
+def test_teardown_returns_counts_to_baseline(
+    observed, workload_name, teardown
+):
     workload = WORKLOADS[workload_name]()
     seen: dict[int, object] = {}
     _reachable(workload.args(), seen)
     baseline = _counts(seen)
-    engine = DittoEngine(workload.entry, recursion_limit=None)
+    engine = DittoEngine(
+        workload.entry, trace_sink=_sink(observed), recursion_limit=None
+    )
     try:
         _warm(engine, workload, seen, events=40)
         _reachable(workload.args(), seen)
@@ -262,14 +281,17 @@ def test_teardown_returns_counts_to_baseline(workload_name, teardown):
     _assert_counts(baseline, seen)
 
 
-def test_rebuilding_fallback_leaves_exact_counts():
+@OBSERVED
+def test_rebuilding_fallback_leaves_exact_counts(observed):
     """Without a cooldown the step-limit fallback rebuilds in place: the
     counts are then exactly the rebuilt graph's census."""
     workload = RbtWorkload()
     seen: dict[int, object] = {}
     _reachable(workload.args(), seen)
     baseline = _counts(seen)
-    engine = DittoEngine(rbt_invariant, recursion_limit=None)
+    engine = DittoEngine(
+        rbt_invariant, trace_sink=_sink(observed), recursion_limit=None
+    )
     try:
         _warm(engine, workload, seen, events=20)
         engine.step_limit = 1
@@ -285,14 +307,19 @@ def test_rebuilding_fallback_leaves_exact_counts():
     _assert_counts(baseline, seen)
 
 
-def test_closing_one_of_two_engines_keeps_survivor_exact():
+@OBSERVED
+def test_closing_one_of_two_engines_keeps_survivor_exact(observed):
     workload = RbtWorkload(seed=7)
     tree = workload.tree
     seen: dict[int, object] = {}
     _reachable(workload.args(), seen)
     baseline = _counts(seen)
-    first = DittoEngine(rbt_invariant, recursion_limit=None)
-    survivor = DittoEngine(rbt_invariant, recursion_limit=None)
+    first = DittoEngine(
+        rbt_invariant, trace_sink=_sink(observed), recursion_limit=None
+    )
+    survivor = DittoEngine(
+        rbt_invariant, trace_sink=_sink(observed), recursion_limit=None
+    )
     try:
         for _ in range(30):
             workload.mutate()
@@ -397,11 +424,14 @@ class TestCoarseDuckContainer:
         assert all(not node.implicits for node in nodes)
 
 
-def test_teardown_leaves_no_reference_cycles():
+@OBSERVED
+def test_teardown_leaves_no_reference_cycles(observed):
     """The discarded graph is freed by reference counting alone: no node,
     edge or order record is left for the cyclic collector."""
     workload = RbtWorkload(seed=3)
-    engine = DittoEngine(rbt_invariant, recursion_limit=None)
+    engine = DittoEngine(
+        rbt_invariant, trace_sink=_sink(observed), recursion_limit=None
+    )
     try:
         _warm(engine, workload, {}, events=20)
         gc.collect()
