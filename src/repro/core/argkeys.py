@@ -33,7 +33,10 @@ The same normalization applies recursively inside primitive tuples,
 ``complex`` components, and frozenset elements.
 
 ``ArgsKey`` instances keep strong references to the argument objects, so an
-``id()`` can never be recycled while a memo-table entry is alive.
+``id()`` can never be recycled while the key is alive.  The memo table keys
+its rows by the plain tuple ``(uid, ArgsKey._parts)``; each row's node holds
+the arguments themselves (``node.args``), so an ``id()`` in a row's key can
+never be recycled while the row is alive either.
 """
 
 from __future__ import annotations

@@ -510,10 +510,9 @@ class DittoEngine:
 
         Teardown is batched: the table releases reference counts once per
         location and cuts every edge, and the order list unlinks all of its
-        records in one walk, so nothing discarded is left in a reference
+        nodes in one walk, so nothing discarded is left in a reference
         cycle."""
-        for node in self.table.clear():
-            node.order_rec = None
+        self.table.clear()
         self.order.clear()
         self._anchor.calls.clear()
         self._root = None
@@ -559,7 +558,7 @@ class DittoEngine:
         # Anchor and root agree.
         if self._root is not None:
             assert table.contains(self._root), "root not in table"
-            assert self._root.callers.get(self._anchor, 0) == 1, (
+            assert self._root.caller_map().get(self._anchor, 0) == 1, (
                 "root is not anchored exactly once"
             )
             assert self._anchor.calls.count(self._root) == 1, (
@@ -571,7 +570,7 @@ class DittoEngine:
             assert not node.failed, f"{node} left failed after run"
             assert not node.in_progress, f"{node} left in-progress"
             assert node.has_result, f"{node} has no result"
-            assert node.order_rec is not None and node.order_rec.alive, (
+            assert node.owner is self.order, (
                 f"{node} lost its order record"
             )
             for callee in node.calls:
@@ -585,7 +584,7 @@ class DittoEngine:
                     f"reverse map missing {location} -> {node}"
                 )
         for node in table:
-            for caller, count in node.callers.items():
+            for caller, count in node.caller_map().items():
                 if caller is self._anchor:
                     continue
                 assert table.contains(caller), (
@@ -959,7 +958,7 @@ class DittoEngine:
         node, created = self.table.get_or_create(self.entry, key)
         if created:
             self.stats.nodes_created += 1
-            node.order_rec = self.order.insert_last()
+            self.order.link_last(node)
         self.table.add_edge(self._anchor, node)
         self._root = node
         try:
@@ -991,7 +990,7 @@ class DittoEngine:
         """(Re-)execute ``node``'s invocation against the current program
         state, rebuilding its implicit arguments and call edges."""
         if node.in_progress:
-            raise CyclicCheckError(node.func.name, node.explicit_args)
+            raise CyclicCheckError(node.func.name, node.args)
         old_calls = node.calls
         old_has = node.has_result
         old_val = node.return_val
@@ -1004,7 +1003,7 @@ class DittoEngine:
             profiler.node_begin(node)
         ok = False
         try:
-            result = self._compiled[node.func.uid](*node.explicit_args)
+            result = self._compiled[node.func.uid](*node.args)
             ok = True
         except StepLimitExceeded:
             raise
@@ -1102,9 +1101,7 @@ class DittoEngine:
         removed = self.table.prune(node)
         self.stats.nodes_pruned += len(removed)
         for n in removed:
-            if n.order_rec is not None:
-                self.order.delete(n.order_rec)
-                n.order_rec = None
+            self.order.delete(n)
             self._to_propagate.discard(n)
             self._failed.discard(n)
         if self.recorder is not None and removed:
@@ -1145,7 +1142,7 @@ class DittoEngine:
                 continue
             callers = [
                 c
-                for c in node.callers
+                for c in node.caller_map()
                 if c is not self._anchor and self.table.contains(c)
             ]
             callers.sort(key=ComputationNode.sort_token, reverse=True)

@@ -96,7 +96,9 @@ class MemoTable:
     on."""
 
     def __init__(self, tracking: Optional[TrackingState] = None) -> None:
-        self._entries: dict[tuple[int, ArgsKey], ComputationNode] = {}
+        #: ``(uid, parts) -> node``; ``parts`` is ``ArgsKey._parts``, and
+        #: the key tuple is the node's own ``key``.
+        self._entries: dict[tuple[int, tuple], ComputationNode] = {}
         self._reverse: dict[Location, set[ComputationNode]] = {}
         self.tracking = tracking
 
@@ -105,18 +107,17 @@ class MemoTable:
     def lookup(
         self, func: "CheckFunction", key: ArgsKey
     ) -> Optional[ComputationNode]:
-        return self._entries.get((func.uid, key))
+        return self._entries.get((func.uid, key._parts))
 
     def get_or_create(
         self, func: "CheckFunction", key: ArgsKey
     ) -> tuple[ComputationNode, bool]:
         """Return ``(node, created)`` for invocation ``func(key.args)``."""
-        table_key = (func.uid, key)
-        node = self._entries.get(table_key)
+        node = self._entries.get((func.uid, key._parts))
         if node is not None:
             return node, False
         node = ComputationNode(func, key)
-        self._entries[table_key] = node
+        self._entries[node.key] = node
         return node, True
 
     def __len__(self) -> int:
@@ -257,9 +258,19 @@ class MemoTable:
     # Call edges. -------------------------------------------------------------
 
     def add_edge(self, caller: ComputationNode, callee: ComputationNode) -> None:
-        """Record one ``caller -> callee`` call occurrence."""
+        """Record one ``caller -> callee`` call occurrence.  The first edge
+        stores the bare caller; a second one promotes ``callers`` to the
+        dict form (see :mod:`repro.core.node`)."""
         caller.calls.append(callee)
-        callee.callers[caller] = callee.callers.get(caller, 0) + 1
+        callers = callee.callers
+        if callers is None:
+            callee.callers = caller
+        elif type(callers) is dict:
+            callers[caller] = callers.get(caller, 0) + 1
+        elif callers is caller:
+            callee.callers = {caller: 2}
+        else:
+            callee.callers = {callers: 1, caller: 1}
         new_depth = caller.depth + 1
         if callee.depth == 0 or new_depth < callee.depth:
             callee.depth = new_depth
@@ -267,13 +278,20 @@ class MemoTable:
     def remove_edge(self, caller: ComputationNode, callee: ComputationNode) -> None:
         """Remove one ``caller -> callee`` call occurrence (the caller's
         ``calls`` list is managed by the engine).  The last occurrence
-        deletes the ``callers`` entry rather than storing 0, keeping every
-        multiplicity >= 1 so ``not callee.callers`` is the orphan test."""
-        count = callee.callers.get(caller, 0)
-        if count <= 1:
-            callee.callers.pop(caller, None)
-        else:
-            callee.callers[caller] = count - 1
+        deletes the ``callers`` entry rather than storing 0, and an emptied
+        dict reverts to ``None``, so ``not callee.callers`` is the orphan
+        test."""
+        callers = callee.callers
+        if callers is caller:
+            callee.callers = None
+        elif type(callers) is dict:
+            count = callers.get(caller, 0)
+            if count > 1:
+                callers[caller] = count - 1
+            else:
+                callers.pop(caller, None)
+                if not callers:
+                    callee.callers = None
 
     # Pruning (Figure 7's ``prune``). ------------------------------------------
 
@@ -288,34 +306,39 @@ class MemoTable:
         Such nodes finish their execution and the engine prunes them then
         if they are still unreachable."""
         removed: list[ComputationNode] = []
+        entries = self._entries
         stack = [node]
         while stack:
             current = stack.pop()
             if current.in_progress:
                 continue  # deferred: the engine re-checks after its exec
-            table_key = (current.func.uid, current.key)
-            if self._entries.get(table_key) is not current:
+            if entries.get(current.key) is not current:
                 continue  # already pruned
-            del self._entries[table_key]
+            del entries[current.key]
             self.clear_implicits(current)
             removed.append(current)
             for callee in current.calls:
-                # remove_edge, inlined.  Multiplicities never sit at 0, so
-                # an emptied ``callers`` dict is the O(1) orphan test.
+                # remove_edge, inlined: a callee left with no callers is
+                # pushed for removal.
                 callers = callee.callers
-                count = callers.get(current, 0)
-                if count > 1:
-                    callers[current] = count - 1
-                else:
-                    callers.pop(current, None)
-                    if not callers:
-                        stack.append(callee)
+                if callers is current or callers is None:
+                    callee.callers = None
+                    stack.append(callee)
+                elif type(callers) is dict:
+                    count = callers.get(current, 0)
+                    if count > 1:
+                        callers[current] = count - 1
+                    else:
+                        callers.pop(current, None)
+                        if not callers:
+                            callee.callers = None
+                            stack.append(callee)
             current.calls.clear()
-            current.callers.clear()
+            current.callers = None
         return removed
 
     def contains(self, node: ComputationNode) -> bool:
-        return self._entries.get((node.func.uid, node.key)) is node
+        return self._entries.get(node.key) is node
 
     def clear(self) -> list[ComputationNode]:
         """Drop the whole graph (step-limit fallback / engine reset),
@@ -335,15 +358,15 @@ class MemoTable:
         for node in removed:
             node.implicits.clear()
             node.calls.clear()
-            node.callers.clear()
+            node.callers = None
         self._entries.clear()
         self._reverse.clear()
         return removed
 
     # Introspection used by tests and the graph auditor. -----------------------
 
-    def entries(self) -> Iterator[tuple[tuple[int, ArgsKey], ComputationNode]]:
-        """Iterate ``((uid, key), node)`` pairs — the raw table rows.  The
+    def entries(self) -> Iterator[tuple[tuple[int, tuple], ComputationNode]]:
+        """Iterate ``((uid, parts), node)`` pairs — the raw table rows.  The
         auditor uses this to confirm each row's key matches the identity of
         the node stored under it."""
         return iter(self._entries.items())
@@ -358,7 +381,7 @@ class MemoTable:
         """Map ``(function name, explicit args)`` to return values, for
         graph-isomorphism assertions in the test suite."""
         return {
-            (node.func.name, node.explicit_args): node.return_val
+            (node.func.name, node.args): node.return_val
             for node in self._entries.values()
         }
 

@@ -9,10 +9,14 @@ label comparison; inserting into a saturated gap relabels the smallest
 enclosing aligned tag range whose density is below a geometrically-falling
 threshold, giving O(log n) amortized insertions.
 
-The engine stamps each computation node with a record at creation time
-(immediately after its parent / previous sibling), yielding a total order
-consistent with the execution order of the check, and uses it to break ties
-when scheduling dirty-node re-execution and return-value propagation.
+A computation node is its own record: it carries the ``label``/``prev``/
+``next``/``owner`` slots, and the engine links each node last at creation
+time (:meth:`OrderList.link_last`, inlined on the compiled call path),
+yielding a total order consistent with the execution order of the check.
+The order breaks ties when scheduling dirty-node re-execution and
+return-value propagation.  :class:`Record` is the standalone element type
+that :meth:`OrderList.insert_after` / :meth:`OrderList.insert_before`
+create.
 """
 
 from __future__ import annotations
@@ -33,7 +37,10 @@ _APPEND_GAP = 1 << 20
 
 
 class Record:
-    """One element of an :class:`OrderList`.  Treat as opaque."""
+    """A standalone element of an :class:`OrderList`.  Treat as opaque.
+
+    Any object with ``label``/``prev``/``next``/``owner`` attributes can be
+    an element; computation nodes are linked directly."""
 
     __slots__ = ("label", "prev", "next", "owner")
 
@@ -90,6 +97,17 @@ class OrderList:
         """Insert and return a fresh record immediately after ``rec``."""
         if rec is not self._head and rec.owner is not self:
             raise ValueError("record does not belong to this OrderList")
+        new = Record(0, None)
+        self._link_after(rec, new)
+        return new
+
+    def link_last(self, rec: Record) -> None:
+        """Link the existing, currently unlinked element ``rec`` after
+        everything else (a computation node is its own record)."""
+        assert self._tail.prev is not None
+        self._link_after(self._tail.prev, rec)
+
+    def _link_after(self, rec: Record, new: Record) -> None:
         nxt = rec.next
         assert nxt is not None
         if nxt is self._tail and rec.label + _APPEND_GAP < _UNIVERSE:
@@ -100,12 +118,12 @@ class OrderList:
                 nxt = rec.next
                 assert nxt is not None
             label = (rec.label + nxt.label) // 2
-        new = Record(label, self)
+        new.label = label
+        new.owner = self
         new.prev, new.next = rec, nxt
         rec.next = new
         nxt.prev = new
         self._size += 1
-        return new
 
     def insert_before(self, rec: Record) -> Record:
         if rec.owner is not self:

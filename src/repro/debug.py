@@ -15,7 +15,7 @@ from .core.node import ComputationNode
 
 
 def _default_label(node: ComputationNode) -> str:
-    args = ", ".join(_short(a) for a in node.explicit_args)
+    args = ", ".join(_short(a) for a in node.args)
     return f"{node.func.name}({args})"
 
 

@@ -24,9 +24,11 @@ implicit-argument recording with reverse-map and reference-count
 maintenance, and the adoption fast test — into a single Python frame.
 Those per-operation constant factors are what §5.1.1's crossover size
 measures: incremental checking only wins once the structure outgrows them.
-The per-call closure ``__dcall_<uid>__`` likewise inlines the
-:class:`~repro.core.argkeys.ArgsKey` construction, the memo probe, node
-creation, and call-edge recording, with the §4 leaf-call fast path emitted
+The per-call closure ``__dcall_<uid>__`` likewise inlines the memo-key
+construction (the plain ``(uid, parts)`` tuple; no
+:class:`~repro.core.argkeys.ArgsKey` is built), the memo probe, node
+creation with the node linked last in the order list as its own record,
+and call-edge recording, with the §4 leaf-call fast path emitted
 only for callees whose signature makes a leaf call statically possible
 (a zero-parameter callee can never receive the required ``None``
 reference argument).
@@ -56,7 +58,7 @@ import ast
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..core.argkeys import ArgsKey, _freeze, is_primitive
+from ..core.argkeys import _freeze, is_primitive
 from ..core.errors import (
     OptimisticMispredictionError,
     ResultTypeError,
@@ -65,7 +67,7 @@ from ..core.errors import (
 )
 from ..core.locations import FieldLocation, IndexLocation, LengthLocation
 from ..core.node import ComputationNode
-from ..core.order_maintenance import _APPEND_GAP, _UNIVERSE, Record
+from ..core.order_maintenance import _APPEND_GAP, _UNIVERSE
 from ..core.tracked import TrackedArray, TrackedObject, adopt_container
 from .transform import (
     IMMUTABLE_RECEIVERS,
@@ -397,7 +399,7 @@ def _abort_fresh_exec(engine: "DittoEngine", node: ComputationNode,
 
 
 def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
-    """Per-callee memoized-call closure: ArgsKey construction, memo probe,
+    """Per-callee memoized-call closure: memo-key construction, memo probe,
     node creation, edge recording, and the entire fresh-node execution in
     one frame, dispatching to the engine's ``_exec``/``_naive_value`` only
     for dirty re-executions (and whenever an observer — profiler, flight
@@ -410,16 +412,14 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
     entries = table._entries
     contains = table.contains
     prune = engine._prune
-    insert_last = engine.order.insert_last
     order_list = engine.order
+    link_last = order_list.link_last
     order_tail = order_list._tail
-    new_record = Record.__new__
     new_node = ComputationNode.__new__
     exec_node = engine._exec
     naive = engine.mode == "naive"
     naive_value = engine._naive_value
     compiled_map = engine._compiled
-    new_key = ArgsKey.__new__
     freeze = _freeze
     # §4 leaf-call fast path: statically impossible for zero-parameter
     # callees (a leaf call needs at least one None reference argument), so
@@ -449,13 +449,10 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
                         )
                     return compiled_map[uid](*args)
         caller = stack[-1]
-        # Inlined ArgsKey(args): the parts tuple and cached hash are set
-        # directly, skipping the __init__ frame.
-        key = new_key(ArgsKey)
-        key.args = args
-        key._parts = parts = tuple(map(freeze, args))
-        key._hash = hash(parts)
-        node = entries.get((uid, key))
+        # The memo key is the plain tuple ComputationNode.__init__ builds
+        # from ArgsKey(args); tuple hashing and equality run in C.
+        key = (uid, tuple(map(freeze, args)))
+        node = entries.get(key)
         if node is None:
             # Fresh invocation: create the node and execute it inline
             # (``_exec`` minus everything a fresh node cannot need —
@@ -466,9 +463,10 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
             node = new_node(ComputationNode)
             node.func = func
             node.key = key
+            node.args = args
             node.implicits = set()
             node.calls = []
-            node.callers = {caller: 1}
+            node.callers = caller
             node.return_val = None
             node.has_result = False
             node.dirty = False
@@ -477,24 +475,23 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
             node.depth = caller.depth + 1
             node.last_exec_tick = -1
             node.value_tick = -1
-            entries[(uid, key)] = node
+            entries[key] = node
             stats.nodes_created += 1
-            # Inlined OrderList.insert_last, append-stride fast path only
-            # (the near-universe-end slow path falls back to the method).
-            prev_rec = order_tail.prev
-            label = prev_rec.label + _APPEND_GAP
+            # Inlined OrderList.link_last: the node is its own order
+            # record.  Append-stride fast path only (the near-universe-end
+            # slow path falls back to the method).
+            last = order_tail.prev
+            label = last.label + _APPEND_GAP
             if label < _UNIVERSE:
-                rec = new_record(Record)
-                rec.label = label
-                rec.owner = order_list
-                rec.prev = prev_rec
-                rec.next = order_tail
-                prev_rec.next = rec
-                order_tail.prev = rec
+                node.label = label
+                node.owner = order_list
+                node.prev = last
+                node.next = order_tail
+                last.next = node
+                order_tail.prev = node
                 order_list._size += 1
             else:
-                rec = insert_last()
-            node.order_rec = rec
+                link_last(node)
             caller.calls.append(node)
             if (
                 engine.profiler is not None
@@ -540,7 +537,14 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
         # Inlined MemoTable.add_edge.
         caller.calls.append(node)
         callers = node.callers
-        callers[caller] = callers.get(caller, 0) + 1
+        if callers is None:
+            node.callers = caller
+        elif type(callers) is dict:
+            callers[caller] = callers.get(caller, 0) + 1
+        elif callers is caller:
+            node.callers = {caller: 2}
+        else:
+            node.callers = {callers: 1, caller: 1}
         depth = caller.depth + 1
         if node.depth == 0 or depth < node.depth:
             node.depth = depth

@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _node_label(node: "ComputationNode") -> str:
-    args = ", ".join(_short(repr(a)) for a in node.explicit_args)
+    args = ", ".join(_short(repr(a)) for a in node.args)
     return f"{node.func.name}({args})"
 
 

@@ -13,25 +13,27 @@ die mid-request.
 Rules audited (names appear in findings and in ``AuditReport.rules_run``):
 
 ``table-keys``
-    Every memo-table row ``(uid, key) -> node`` stores a node whose
-    ``(func.uid, key)`` identity matches the row's key — a mismatch means
+    Every memo-table row ``(uid, parts) -> node`` stores a node whose own
+    ``key`` (and ``func.uid``) matches the row's key — a mismatch means
     lookups can return the wrong invocation's cached value.
 ``reverse-map``
     The location→nodes map and each node's recorded implicit reads are
     mirror images (both inclusions), and no pruned node lingers in either.
 ``edges``
-    ``calls`` lists and ``callers`` multiplicity maps agree edge-for-edge,
-    every stored multiplicity is at least 1 (the engine's O(1) orphan test
-    reads an empty ``callers`` map as "unreachable", so a 0 entry would pin
-    a dead node forever), every endpoint is a live table node, and every
+    ``calls`` lists and ``callers`` multiplicities (read through
+    ``ComputationNode.caller_map``) agree edge-for-edge, every stored
+    multiplicity is at least 1 (the engine's O(1) orphan test reads an
+    empty ``callers`` as "unreachable", so a 0 entry would pin a dead node
+    forever), every endpoint is a live table node, and every
     non-root node is reachable (has at least one caller).
 ``node-state``
     Between runs no node is dirty, failed, in-progress, or missing its
     result — a quiescent graph is fully repaired.
 ``order``
     The order-maintenance list is structurally sound (see
-    :meth:`repro.core.order_maintenance.OrderList.audit`), every node owns
-    an alive record in it, and the list holds exactly one record per node.
+    :meth:`repro.core.order_maintenance.OrderList.audit`), every node —
+    its own order record — is linked into it, and the list holds exactly
+    one record per node.
 ``scheduling``
     For every call edge, the caller (re-)executed *after* the callee's
     return value last changed — the post-condition return-value
@@ -136,16 +138,16 @@ class GraphAuditor:
     # Individual rules; each yields human-readable violation messages. -------
 
     def _audit_table_keys(self) -> Iterator[str]:
-        for (uid, key), node in self.engine.table.entries():
-            if node.func.uid != uid:
+        for key, node in self.engine.table.entries():
+            if node.func.uid != key[0]:
                 yield (
-                    f"row keyed uid={uid} stores node of "
+                    f"row keyed uid={key[0]} stores node of "
                     f"{node.func.name!r} (uid={node.func.uid})"
                 )
             if node.key != key:
                 yield (
-                    f"row keyed {key.args!r} stores node with explicit "
-                    f"args {node.explicit_args!r}"
+                    f"row keyed {key[1]!r} stores node {node} keyed "
+                    f"{node.key[1]!r}"
                 )
 
     def _audit_reverse_map(self) -> Iterator[str]:
@@ -171,7 +173,7 @@ class GraphAuditor:
         if root is not None:
             if not table.contains(root):
                 yield f"root {root} is not in the memo table"
-            if root.callers.get(anchor, 0) != 1:
+            if root.caller_map().get(anchor, 0) != 1:
                 yield "root is not anchored exactly once"
             if anchor.calls.count(root) != 1:
                 yield "anchor call edge out of sync with root's callers"
@@ -183,7 +185,7 @@ class GraphAuditor:
                 pair = (id(node), id(callee))
                 edge_counts[pair] = edge_counts.get(pair, 0) + 1
         for node in table:
-            for caller, count in node.callers.items():
+            for caller, count in node.caller_map().items():
                 if count < 1:
                     yield (
                         f"edge {caller} -> {node}: callers map stores "
@@ -218,28 +220,25 @@ class GraphAuditor:
     def _audit_order(self) -> Iterator[str]:
         order = self.engine.order
         yield from order.audit()
-        records = 0
+        linked = 0
         for node in self.engine.table:
-            rec = node.order_rec
-            if rec is None:
-                yield f"{node} has no order-maintenance record"
-                continue
-            records += 1
-            if rec.owner is not order:
+            if node.owner is not order:
                 yield (
-                    f"{node}'s order record is dead or belongs to "
-                    f"another list"
+                    f"{node} is not linked into this engine's order list "
+                    f"(dead or owned by another list)"
                 )
-        if records == len(self.engine.table) and len(order) != records:
+                continue
+            linked += 1
+        if linked == len(self.engine.table) and len(order) != linked:
             yield (
                 f"order list holds {len(order)} records for "
-                f"{records} graph nodes"
+                f"{linked} graph nodes"
             )
 
     def _audit_scheduling(self) -> Iterator[str]:
         anchor = self.engine._anchor
         for node in self.engine.table:
-            for caller in node.callers:
+            for caller in node.caller_map():
                 if caller is anchor:
                     continue
                 if caller.last_exec_tick <= node.value_tick:

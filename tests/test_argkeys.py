@@ -17,6 +17,26 @@ class Box(TrackedObject):
         self.value = value
 
 
+class Cell(TrackedObject):
+    def __init__(self, value, next=None):
+        self.value = value
+        self.next = next
+
+
+@check
+def key_probe(x):
+    return True
+
+
+@check
+def probe_cells(c):
+    if c is None:
+        return True
+    b1 = key_probe(c.value)
+    b2 = probe_cells(c.next)
+    return b1 and b2
+
+
 class TestIsPrimitive:
     @pytest.mark.parametrize(
         "value",
@@ -261,3 +281,33 @@ class TestFloatEdgesEngine:
         # minted a fresh root node.
         assert engine.graph_size == size
         assert engine.stats.nodes_created == created
+
+
+class TestMemoKeyParityEngine:
+    """The compiled call closure builds its memo key without an ``ArgsKey``;
+    its probe must still split and merge calls exactly as ``ArgsKey``
+    equality does."""
+
+    def test_dcall_probe_matches_argskey(self, engine_factory):
+        nan, other_nan = float("nan"), float("nan")
+        values = [
+            1, 1.0, True, 0.0, -0.0, nan, nan, other_nan,
+            tuple([1, 2]), tuple([1, 2]), Box(5), Box(5), None,
+        ]
+        # No leaf calls: key_probe(None) must be a memoized call too.
+        engine = engine_factory(probe_cells, leaf_optimization=False)
+
+        def probe_nodes():
+            return sum(1 for n in engine.table if n.func is key_probe)
+
+        seen: set[ArgsKey] = set()
+        head = None
+        for value in values:
+            key = ArgsKey((value,))
+            is_new = key not in seen
+            seen.add(key)
+            head = Cell(value, head)  # the new root calls key_probe(value)
+            before = probe_nodes()
+            assert engine.run(head) is True
+            assert probe_nodes() == before + is_new, (value, is_new)
+        assert probe_nodes() == len(seen) == 11

@@ -63,7 +63,7 @@ class TestGraphText:
         root = Node(1, Node(2, shared, None), Node(3, shared, None))
         engine.run(root)
         for node in engine.table:
-            if node.explicit_args and node.explicit_args[0] is shared:
+            if node.args and node.args[0] is shared:
                 node.dirty = True
         text = graph_text(engine)
         shared_lines = [l for l in text.splitlines() if "(shared)" in l]

@@ -206,19 +206,47 @@ class TestMergeIntervals:
 
 
 class TestEdges:
+    """``callers`` is ``None`` with no edge, the bare caller with one, and a
+    ``{caller: multiplicity}`` dict once a second edge arrives; each test
+    runs the same caller twice (``single`` becomes a dict) and two distinct
+    callers (``shared``)."""
+
     def test_add_remove_edge_counts(self):
         table = MemoTable()
         parent = _node(table, some_check, 1)
         child = _node(table, some_check, 2)
+        assert child.callers is None
         table.add_edge(parent, child)
+        assert child.callers is parent
         table.add_edge(parent, child)
+        assert child.callers == {parent: 2}
         assert child.caller_count() == 2
         assert parent.calls == [child, child]
         table.remove_edge(parent, child)
         assert child.caller_count() == 1
         table.remove_edge(parent, child)
         assert child.caller_count() == 0
-        assert parent not in child.callers
+        assert parent not in child.caller_map()
+        assert child.callers is None
+
+    def test_shared_callee_edge_counts(self):
+        table = MemoTable()
+        left = _node(table, some_check, 1)
+        right = _node(table, some_check, 2)
+        child = _node(table, some_check, 3)
+        table.add_edge(left, child)
+        table.add_edge(right, child)
+        assert child.callers == {left: 1, right: 1}
+        assert child.caller_count() == 2
+        table.remove_edge(left, child)
+        assert child.caller_map() == {right: 1}
+        assert child.callers  # still reachable: not an orphan
+        table.remove_edge(left, child)  # no such edge left: a no-op
+        assert child.caller_map() == {right: 1}
+        table.remove_edge(right, child)
+        assert child.caller_count() == 0
+        assert not child.callers
+        assert child.callers is None
 
     def test_depth_propagates_min(self):
         table = MemoTable()

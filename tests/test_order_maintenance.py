@@ -6,7 +6,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import OrderList
+from repro import DittoEngine, TrackedObject, check
+from repro.core import OrderList, Record
+from repro.core.order_maintenance import _UNIVERSE
 
 
 class TestBasics:
@@ -61,6 +63,65 @@ class TestBasics:
         ol = OrderList()
         records = [ol.insert_last() for _ in range(10)]
         assert list(ol) == records
+
+
+class TestLinkLast:
+    """Graph nodes are their own records: ``link_last`` links an element
+    the caller already owns instead of creating one."""
+
+    def test_links_existing_elements_in_order(self):
+        ol = OrderList()
+        first = ol.insert_first()
+        mine = [Record(0, None) for _ in range(3)]
+        for element in mine:
+            ol.link_last(element)
+        middle = ol.insert_after(mine[0])
+        assert list(ol) == [first, mine[0], middle, mine[1], mine[2]]
+        assert len(ol) == 5
+        assert all(element.owner is ol for element in mine)
+        assert ol.audit() == []
+        ol.delete(mine[1])
+        ol.delete(mine[1])  # idempotent
+        assert list(ol) == [first, mine[0], middle, mine[2]]
+        ol.clear()
+        assert all(element.owner is None and element.next is None
+                   for element in mine)
+
+
+class _Cell(TrackedObject):
+    def __init__(self, next=None):
+        self.next = next
+
+
+@check
+def _cells(c):
+    if c is None:
+        return 0
+    return 1 + _cells(c.next)
+
+
+def test_compiled_call_links_fresh_nodes_at_the_universe_end():
+    """The compiled call closure links a fresh node inline on the stride
+    fast path and falls back to ``link_last`` when the stride would pass
+    the universe end; either way the graph's nodes stay in execution
+    order."""
+    engine = DittoEngine(_cells, recursion_limit=None)
+    try:
+        tail = _Cell()
+        head = _Cell(_Cell(tail))
+        assert engine.run(head) == 3
+        engine.order._tail.prev.label = _UNIVERSE - 1
+        tail.next = _Cell(_Cell())
+        assert engine.run(head) == 5
+        engine.validate()
+        assert engine.audit().ok
+        nodes = list(engine.order)
+        assert len(nodes) == engine.graph_size == 5
+        assert [n.args[0] for n in nodes[-2:]] == [
+            tail.next, tail.next.next,
+        ]
+    finally:
+        engine.close()
 
 
 class TestRelabeling:

@@ -9,6 +9,11 @@ proved, not assumed.
 
 Run with ``--engine-mode=naive`` to exercise the same matrix under the
 Figure 6 naive incrementalizer (CI does both).
+
+A node's ``callers`` is ``None``, the bare sole caller, or a
+``{caller: multiplicity}`` dict once a second edge arrives, so the
+``callers`` corruptions run once on an unshared node (the bare caller) and
+once on a node with two distinct callers (the dict form).
 """
 
 from __future__ import annotations
@@ -16,15 +21,20 @@ from __future__ import annotations
 import pytest
 
 from repro import ArgsKey, GraphAuditError, TrackedObject, check
+from repro.core.node import ComputationNode
 from repro.resilience import GraphAuditor
 
 pytestmark = pytest.mark.resilience
 
+#: ``shared``: corrupt a node with two distinct callers (the dict form).
+FORMS = (False, True)
+
 
 class Elem(TrackedObject):
-    def __init__(self, value, next=None):
+    def __init__(self, value, next=None, alt=None):
         self.value = value
         self.next = next
+        self.alt = alt
 
 
 @check
@@ -34,6 +44,13 @@ def aud_ordered(e):
     if e.value > e.next.value:
         return False
     return aud_ordered(e.next)
+
+
+@check
+def aud_paths(e):
+    if e is None:
+        return 0
+    return e.value + aud_paths(e.next) + aud_paths(e.alt)
 
 
 def build(*values):
@@ -52,6 +69,29 @@ def warm_engine(engine_factory, engine_mode):
     head.next.value = 2  # benign mutation: exercises the repair machinery
     assert engine.run(head) is True
     return engine, head
+
+
+def _callee(engine_factory, engine_mode, warm_engine, shared):
+    """An engine and a non-root node whose ``callers`` holds two distinct
+    callers in the dict form (``shared``: a diamond, repaired once) or its
+    sole caller, bare (the warm chain)."""
+    if shared:
+        engine = engine_factory(aud_paths, mode=engine_mode)
+        bottom = Elem(1)
+        top = Elem(0, Elem(2, bottom), Elem(3, bottom))
+        assert engine.run(top) == 7
+        bottom.value = 4  # re-executes bottom, then both of its callers
+        assert engine.run(top) == 13
+        node = next(n for n in engine.table if n.caller_count() == 2)
+        assert type(node.callers) is dict and len(node.callers) == 2
+    else:
+        engine, _ = warm_engine
+        node = next(
+            n for n in engine.table
+            if isinstance(n.callers, ComputationNode)
+            and n.callers is not engine._anchor
+        )
+    return engine, node
 
 
 class TestCleanGraph:
@@ -117,7 +157,9 @@ class TestCorruptionDetection:
     def test_table_key_mismatch(self, warm_engine):
         engine, _ = warm_engine
         node = next(iter(engine.table))
-        engine.table._entries[(node.func.uid, ArgsKey(("bogus",)))] = node
+        engine.table._entries[
+            (node.func.uid, ArgsKey(("bogus",))._parts)
+        ] = node
         report = engine.audit(raise_on_failure=False)
         assert report.by_rule("table-keys")
 
@@ -145,21 +187,28 @@ class TestCorruptionDetection:
         report = engine.audit(raise_on_failure=False)
         assert report.by_rule("edges")
 
-    def test_zero_multiplicity_from_non_caller(self, warm_engine):
+    def test_zero_multiplicity_from_non_caller(
+        self, engine_factory, engine_mode, warm_engine
+    ):
         """A ``callers`` entry of 0 for a node that never calls the callee
         agrees with the (absent) ``calls`` edge, so only the >= 1 rule can
         see it; left in place it would pin a dead node forever, since an
         empty ``callers`` map is the engine's orphan test."""
-        engine, _ = warm_engine
-        callee = next(n for n in engine.table if n is not engine._root)
-        stranger = next(
-            n for n in engine.table
-            if n is not callee and callee not in n.calls
-        )
-        callee.callers[stranger] = 0
-        report = engine.audit(raise_on_failure=False)
-        assert report.by_rule("edges")
-        assert "multiplicity 0" in str(report.by_rule("edges")[0])
+        for shared in FORMS:
+            engine, callee = _callee(
+                engine_factory, engine_mode, warm_engine, shared
+            )
+            stranger = next(
+                n for n in engine.table
+                if n is not callee and callee not in n.calls
+            )
+            if shared:
+                callee.callers[stranger] = 0
+            else:
+                callee.callers = {callee.callers: 1, stranger: 0}
+            report = engine.audit(raise_on_failure=False)
+            assert report.by_rule("edges")
+            assert "multiplicity 0" in str(report.by_rule("edges")[0])
 
     def test_dirty_node_left_behind(self, warm_engine):
         engine, _ = warm_engine
@@ -170,20 +219,20 @@ class TestCorruptionDetection:
     def test_dead_order_record(self, warm_engine):
         engine, _ = warm_engine
         node = next(iter(engine.table))
-        engine.order.delete(node.order_rec)
+        engine.order.delete(node)
         report = engine.audit(raise_on_failure=False)
         assert report.by_rule("order")
 
-    def test_stale_caller_ticks(self, warm_engine):
-        engine, _ = warm_engine
-        node = next(
-            n
-            for n in engine.table
-            if any(c is not engine._anchor for c in n.callers)
-        )
-        node.value_tick = 10**9  # "value changed after every caller ran"
-        report = engine.audit(raise_on_failure=False)
-        assert report.by_rule("scheduling")
+    def test_stale_caller_ticks(
+        self, engine_factory, engine_mode, warm_engine
+    ):
+        for shared in FORMS:
+            engine, node = _callee(
+                engine_factory, engine_mode, warm_engine, shared
+            )
+            node.value_tick = 10**9  # "value changed after every caller ran"
+            report = engine.audit(raise_on_failure=False)
+            assert report.by_rule("scheduling")
 
     def test_undercounted_refcount(self, warm_engine):
         engine, _ = warm_engine
