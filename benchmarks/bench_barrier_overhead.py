@@ -150,7 +150,7 @@ class _PerSlotList(TrackedList):
                 index = 0
         elif index > n:
             index = n
-        if self._ditto_refcount > 0:
+        if self._ditto.refcount > 0:
             log = tracking_state().write_log
             log.append(self._ditto_location("<len>"))
             for i in range(index, n + 1):
@@ -166,7 +166,7 @@ class _PerSlotList(TrackedList):
             index += n
         if not 0 <= index < n:
             raise IndexError("pop index out of range")
-        if self._ditto_refcount > 0:
+        if self._ditto.refcount > 0:
             log = tracking_state().write_log
             log.append(self._ditto_location("<len>"))
             for i in range(index, n):

@@ -48,27 +48,24 @@ def _merge_intervals(
     return merged
 
 
-#: The shipped tracked types, whose counts the table maintains inline.
+#: The shipped tracked types, whose header counts the table maintains
+#: inline.
 _TRACKED = (TrackedObject, TrackedArray)
-
-#: Raw attribute store: counter updates must not run TrackedObject's
-#: barrier ``__setattr__`` (a Python frame per store).
-_RAW_SETATTR = object.__setattr__
 
 
 def _release(location: Location, times: int) -> None:
     """Release ``times`` references to ``location``.  The shipped tracked
-    types are decremented directly (``location`` is their interned
-    instance; see :meth:`MemoTable.record_implicit`); duck-typed containers
-    go through whichever of the ``_ditto_decref_loc`` / ``_ditto_decref``
-    hooks they provide (neither: not refcounted)."""
+    types are decremented directly on the location (their interned
+    instance; see :meth:`MemoTable.record_implicit`) and the container's
+    header; duck-typed containers go through whichever of the
+    ``_ditto_decref_loc`` / ``_ditto_decref`` hooks they provide (neither:
+    not refcounted)."""
     container = location.container
     if isinstance(container, _TRACKED):
         location.refcount -= times
-        _RAW_SETATTR(container, "_ditto_locrefs",
-                     container._ditto_locrefs - times)
-        _RAW_SETATTR(container, "_ditto_refcount",
-                     container._ditto_refcount - times)
+        header = container._ditto
+        header.locrefs -= times
+        header.refcount -= times
         return
     decref_loc = getattr(container, "_ditto_decref_loc", None)
     if decref_loc is not None:
@@ -164,14 +161,12 @@ class MemoTable:
         dependents.add(node)
         if tracked:
             # Location-attributed incref, inlined: the per-location count
-            # on the interned instance plus the container's exact
-            # (``_ditto_locrefs``) and coarse (``_ditto_refcount``) counts.
-            # Raw stores skip TrackedObject's barrier ``__setattr__``.
+            # on the interned instance plus the header's exact
+            # (``locrefs``) and coarse (``refcount``) counts.
             location.refcount += 1
-            _RAW_SETATTR(container, "_ditto_locrefs",
-                         container._ditto_locrefs + 1)
-            _RAW_SETATTR(container, "_ditto_refcount",
-                         container._ditto_refcount + 1)
+            header = container._ditto
+            header.locrefs += 1
+            header.refcount += 1
         else:
             incref_loc = getattr(container, "_ditto_incref_loc", None)
             if incref_loc is not None:
@@ -198,10 +193,9 @@ class MemoTable:
             container = location.container
             if isinstance(container, _TRACKED):
                 location.refcount -= 1
-                _RAW_SETATTR(container, "_ditto_locrefs",
-                             container._ditto_locrefs - 1)
-                _RAW_SETATTR(container, "_ditto_refcount",
-                             container._ditto_refcount - 1)
+                header = container._ditto
+                header.locrefs -= 1
+                header.refcount -= 1
             else:
                 _release(location, 1)
         node.implicits.clear()
@@ -237,7 +231,10 @@ class MemoTable:
         for container, intervals in ranges.values():
             for start, stop in _merge_intervals(intervals):
                 if stop - start <= len(self._reverse):
-                    cache = getattr(container, "_ditto_loc_cache", None)
+                    cache = (
+                        container._ditto.locations
+                        if isinstance(container, _TRACKED) else None
+                    )
                     for index in range(start, stop):
                         probe = None if cache is None else cache.get(index)
                         if probe is None:

@@ -22,18 +22,18 @@ Both of the paper's Section 4 barrier optimizations are implemented:
 3. **Per-location refinement** — the container count says *some* location
    of the container is read, not *which*.  Engine-managed implicit entries
    additionally bump a per-:class:`~repro.core.locations.Location` count on
-   the interned location itself, mirrored into the container's
-   ``_ditto_locrefs``; the memo table stores that same interned instance
-   as the implicit argument and maintains all three counts inline.  A
-   store to a monitored field of a referenced container whose own location
-   count is zero is provably unread and is skipped (counted in
+   the interned location itself, mirrored into the header's ``locrefs``;
+   the memo table stores that same interned instance as the implicit
+   argument and maintains all three counts inline.  A store to a monitored
+   field of a referenced container whose own location count is zero is
+   provably unread and is skipped (counted in
    ``barrier_location_filtered``).  The filter is exact only while every
    container reference is location-attributed: code that bumps the coarse
-   count directly (``_ditto_incref``) leaves ``_ditto_refcount !=
-   _ditto_locrefs`` and the barrier falls back to logging every monitored
-   store, preserving the pre-refinement behaviour.  Coalesced range
-   barriers always log — a range spans many point locations and is not
-   interned.  :func:`set_location_filter` disables the refinement for A/B
+   count directly (``_ditto_incref``) leaves ``refcount != locrefs`` and
+   the barrier falls back to logging every monitored store, preserving the
+   pre-refinement behaviour.  Coalesced range barriers always log — a
+   range spans many point locations and is not interned.
+   :func:`set_location_filter` disables the refinement for A/B
    measurements (``benchmarks/bench_barrier_overhead.py``).
 
 Mutations that pass both filters append their :class:`~repro.core.locations.
@@ -55,9 +55,9 @@ different log, is deduplicated against different cursors, and is dropped
 by a different fault hook.
 
 Each tracked container is *adopted* by the state of the first engine whose
-memo table takes a reference into it (``_ditto_state``); its barriers log
-to that state from then on.  An engine bound to a different state that
-tries to read an owned container raises
+memo table takes a reference into it (the header's ``state``); its
+barriers log to that state from then on.  An engine bound to a different
+state that tries to read an owned container raises
 :class:`~repro.core.errors.TenantIsolationError` while the owner still
 holds references — silent cross-wiring is never an outcome.  Ownership is
 re-assignable once every reference is released (or the owning state is
@@ -70,6 +70,31 @@ Hot-path layout
 The barrier is the tax every mutation of the main program pays, so the
 common cases are flattened:
 
+* All per-container engine state lives in one slotted
+  :class:`DittoHeader` — the coarse ``refcount``, the location-attributed
+  ``locrefs``, the interned-location cache ``locations`` and the owning
+  ``state`` — held under the single attribute ``_ditto``.
+  ``TrackedObject.__new__`` and ``TrackedArray.__new__`` create it
+  together with the container, and every reader (the barriers, the
+  compiled check reads, the memo table, the auditor, the coarse
+  ``_ditto_incref`` / ``_ditto_decref`` hooks) does ``h = obj._ditto``
+  followed by slot loads and stores.  The header is a separate object
+  made at construction for the sake of the *program's* code.  CPython
+  3.11+ stores a plain instance's attributes inline, keyed by its class's
+  shared keys, until something reads ``obj.__dict__`` or adds a name the
+  shared keys cannot take; from then on the instance carries a real dict
+  and every attribute access on it is slower (a four-field read loop ran
+  2.5x slower on CPython 3.11.7, x86-64, once ``__dict__`` had been
+  read; 3.13 keeps the values inline even then).  The shared keys take
+  late names only while a class is young: with 30 instances built before
+  two more names were added, every one of them got a dict, on 3.11.7 and
+  on 3.13.  Counters kept as loose instance attributes, added on first
+  read, would therefore cost every checked object its inline storage.
+  The one header name, set first in ``__new__``, takes the same
+  shared-key slot in every instance, and counter updates are slot stores
+  on the header that never reach the instance or its barrier
+  ``__setattr__``.  Copies and unpickled objects get a header of their
+  own: it is kept out of the copied and pickled state (``__getstate__``).
 * Each state snapshots its monitored-field set and its write log's bound
   ``append`` into the ``monitored`` / ``log_append`` attributes, refreshed
   whenever monitoring changes.  An unmonitored attribute store costs one
@@ -335,34 +360,72 @@ def reset_tracking() -> None:
     _state = TrackingState()
 
 
+class DittoHeader:
+    """All per-container engine state: the paper's ``IncObject`` header.
+
+    One instance per :class:`TrackedObject` / :class:`TrackedArray`, created
+    with the container and held under its ``_ditto`` attribute (see the
+    module docstring for why it is a separate object made at construction).
+
+    * ``refcount`` — the §4 reference count: live implicit-argument
+      entries, across all engines, that name one of the container's
+      locations, plus coarse references taken through ``_ditto_incref``.
+    * ``locrefs`` — the location-attributed part of ``refcount``; the two
+      differ exactly when a coarse reference is live, which turns the
+      per-location barrier filter off for the container.
+    * ``locations`` — the interned point locations, by coordinate (field
+      name, slot index, or ``"<len>"``).
+    * ``state`` — the owning :class:`TrackingState`, set on adoption by
+      the first memo table that takes a reference; ``None`` means the
+      process-default state.
+    """
+
+    __slots__ = ("refcount", "locrefs", "locations", "state")
+
+    def __init__(self) -> None:
+        self.refcount = 0
+        self.locrefs = 0
+        self.locations: dict[Any, Location] = {}
+        self.state: "TrackingState | None" = None
+
+
+def _reduce_ex(self: Any, protocol: int) -> Any:
+    # Protocols 0 and 1 rebuild through ``object.__new__``, which would
+    # skip the header; the protocol-2 reduction calls ``cls.__new__``.
+    return object.__reduce_ex__(self, max(protocol, 2))
+
+
 class TrackedObject:
     """Base class for heap objects read by DITTO invariant checks.
 
-    Mirrors the paper's ``IncObject``: carries a reference-count header and
-    a write barrier.  Assigning to an attribute of an instance whose
-    reference count is positive *and* whose attribute name is read by some
-    check logs the mutated :class:`FieldLocation` into the global write log.
+    Mirrors the paper's ``IncObject``: carries a reference-count header
+    (:class:`DittoHeader`, under ``_ditto``) and a write barrier.  Assigning
+    to an attribute of an instance whose reference count is positive *and*
+    whose attribute name is read by some check logs the mutated
+    :class:`FieldLocation` into the global write log.
 
     Attributes whose names start with ``_`` are never monitored, so internal
     bookkeeping writes are cheap and invisible to the engines.
     """
 
-    _ditto_refcount = 0
-    _ditto_locrefs = 0
-    #: Owning isolation domain, set on adoption by the first memo table
-    #: that takes a reference; ``None`` means the process-default state.
-    _ditto_state: "TrackingState | None" = None
+    def __new__(cls, *args: Any, **kwargs: Any) -> "TrackedObject":
+        self = object.__new__(cls)
+        # The header is the instance's first attribute, so it takes the same
+        # shared-key slot in every instance of the class.
+        object.__setattr__(self, "_ditto", DittoHeader())
+        return self
 
     def __setattr__(self, name: str, value: Any) -> None:
-        if self._ditto_refcount > 0 and name[0] != "_":
-            state = self._ditto_state
+        header = self._ditto
+        if header.refcount > 0 and name[0] != "_":
+            state = header.state
             if state is None:
                 state = _state
             if name in state.monitored:
                 location = self._ditto_location(name)
                 if (
                     location.refcount > 0
-                    or self._ditto_refcount != self._ditto_locrefs
+                    or header.refcount != header.locrefs
                     or not _location_filter
                 ):
                     state.log_append(location)
@@ -376,14 +439,10 @@ class TrackedObject:
         """Interned :class:`FieldLocation` for ``self.<name>`` — one object
         per (container, field), shared by write barriers and implicit-read
         recording so the hot paths skip Location construction/hashing."""
-        cache = self.__dict__.get("_ditto_loc_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_ditto_loc_cache", cache)
-        location = cache.get(name)
+        locations = self._ditto.locations
+        location = locations.get(name)
         if location is None:
-            location = FieldLocation(self, name)
-            cache[name] = location
+            location = locations[name] = FieldLocation(self, name)
         return location
 
     # Coarse reference counts (derived maintainers, tests).  The memo table
@@ -391,10 +450,21 @@ class TrackedObject:
     # MemoTable.record_implicit. -------------------------------------------
 
     def _ditto_incref(self) -> None:
-        object.__setattr__(self, "_ditto_refcount", self._ditto_refcount + 1)
+        self._ditto.refcount += 1
 
     def _ditto_decref(self) -> None:
-        object.__setattr__(self, "_ditto_refcount", self._ditto_refcount - 1)
+        self._ditto.refcount -= 1
+
+    # Copy and pickle: the state is the attributes without the header, so
+    # every copy starts unreferenced and unowned with a header of its own
+    # from ``__new__``. ----------------------------------------------------
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = vars(self).copy()
+        del state["_ditto"]
+        return state
+
+    __reduce_ex__ = _reduce_ex
 
 
 class TrackedArray:
@@ -405,22 +475,23 @@ class TrackedArray:
     instrumented check records :class:`IndexLocation` /
     :class:`LengthLocation` implicit arguments through its compiled reads.
 
-    Instances are slotted: the barrier fast path touches exactly three
-    attributes and never pays for a per-instance ``__dict__``.
+    Instances are slotted: the backing list and the :class:`DittoHeader`,
+    which ``__new__`` creates so that copies and unpickled arrays (which
+    skip ``__init__``) get one too.
     """
 
-    __slots__ = ("_items", "_ditto_refcount", "_ditto_locrefs",
-                 "_ditto_loc_cache", "_ditto_state")
+    __slots__ = ("_items", "_ditto")
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "TrackedArray":
+        self = object.__new__(cls)
+        self._ditto = DittoHeader()
+        return self
 
     def __init__(self, initial: Iterable[Any] | int, fill: Any = None):
         if isinstance(initial, int):
             self._items: list[Any] = [fill] * initial
         else:
             self._items = list(initial)
-        self._ditto_refcount = 0
-        self._ditto_locrefs = 0
-        self._ditto_loc_cache: dict[Any, Location] = {}
-        self._ditto_state: "TrackingState | None" = None
 
     def __getitem__(self, index: int) -> Any:
         return self._items[index]
@@ -428,29 +499,31 @@ class TrackedArray:
     def _ditto_location(self, index: "int | str") -> Location:
         """Interned :class:`IndexLocation` (or, for the key ``"<len>"``,
         :class:`LengthLocation`) — see ``TrackedObject._ditto_location``."""
-        location = self._ditto_loc_cache.get(index)
+        locations = self._ditto.locations
+        location = locations.get(index)
         if location is None:
             if index == "<len>":
                 location = LengthLocation(self)
             else:
                 location = IndexLocation(self, index)
-            self._ditto_loc_cache[index] = location
+            locations[index] = location
         return location
 
     def __setitem__(self, index: int, value: Any) -> None:
         items = self._items
-        if self._ditto_refcount > 0:
+        header = self._ditto
+        if header.refcount > 0:
             if index < 0:
                 index += len(items)
             if not 0 <= index < len(items):
                 raise IndexError("list assignment index out of range")
             location = self._ditto_location(index)
-            state = self._ditto_state
+            state = header.state
             if state is None:
                 state = _state
             if (
                 location.refcount > 0
-                or self._ditto_refcount != self._ditto_locrefs
+                or header.refcount != header.locrefs
                 or not _location_filter
             ):
                 state.log_append(location)
@@ -472,19 +545,20 @@ class TrackedArray:
         barrier for the whole array).  Ranges are never location-filtered —
         they are not interned and span many point counts."""
         items = self._items
-        if self._ditto_refcount > 0 and items:
+        if self._ditto.refcount > 0 and items:
             self._ditto_log_range(RangeLocation(self, 0, len(items)))
         items[:] = [value] * len(items)
 
     def _ditto_log_point(self, location: Location) -> None:
         """Log a point mutation unless the per-location refinement proves
         no live implicit argument reads it (see the module docstring)."""
-        state = self._ditto_state
+        header = self._ditto
+        state = header.state
         if state is None:
             state = _state
         if (
             location.refcount > 0
-            or self._ditto_refcount != self._ditto_locrefs
+            or header.refcount != header.locrefs
             or not _location_filter
         ):
             state.log_append(location)
@@ -493,16 +567,27 @@ class TrackedArray:
 
     def _ditto_log_range(self, location: Location) -> None:
         """Log a coalesced range barrier into the owning domain's log."""
-        state = self._ditto_state
+        state = self._ditto.state
         if state is None:
             state = _state
         state.log_append(location)
 
     def _ditto_incref(self) -> None:
-        self._ditto_refcount += 1
+        self._ditto.refcount += 1
 
     def _ditto_decref(self) -> None:
-        self._ditto_refcount -= 1
+        self._ditto.refcount -= 1
+
+    # Copy and pickle (see TrackedObject): the state is a copy of the
+    # backing list, so a shallow copy does not share it either. -----------
+
+    def __getstate__(self) -> list[Any]:
+        return list(self._items)
+
+    def __setstate__(self, items: list[Any]) -> None:
+        self._items = items
+
+    __reduce_ex__ = _reduce_ex
 
 
 class TrackedList(TrackedArray):
@@ -520,7 +605,7 @@ class TrackedList(TrackedArray):
 
     def append(self, value: Any) -> None:
         items = self._items
-        if self._ditto_refcount > 0:
+        if self._ditto.refcount > 0:
             self._ditto_log_point(self._ditto_location("<len>"))
             self._ditto_log_point(self._ditto_location(len(items)))
         items.append(value)
@@ -534,7 +619,7 @@ class TrackedList(TrackedArray):
             index += n
         if not 0 <= index < n:
             raise IndexError("pop index out of range")
-        if self._ditto_refcount > 0:
+        if self._ditto.refcount > 0:
             self._ditto_log_point(self._ditto_location("<len>"))
             if index == n - 1:
                 self._ditto_log_point(self._ditto_location(index))
@@ -558,7 +643,7 @@ class TrackedList(TrackedArray):
                 index = 0
         elif index > n:
             index = n
-        if self._ditto_refcount > 0:
+        if self._ditto.refcount > 0:
             self._ditto_log_point(self._ditto_location("<len>"))
             if index == n:
                 self._ditto_log_point(self._ditto_location(index))
@@ -587,21 +672,18 @@ def adopt_container(container: Any, state: TrackingState) -> None:
     a *different* live domain raises
     :class:`~repro.core.errors.TenantIsolationError` — the cross-tenant
     sharing the serving layer must never silently permit.  Containers
-    without the ``_ditto_state`` slot (custom duck-typed tracked types)
-    keep logging to the default domain.
+    without a :class:`DittoHeader` (custom duck-typed tracked types) are
+    left alone: they have no owner and keep logging wherever their own
+    barriers log.
     """
-    owner = getattr(container, "_ditto_state", None)
+    header = getattr(container, "_ditto", None)
+    if type(header) is not DittoHeader:
+        return
+    owner = header.state
     if owner is state:
         return
-    if (
-        owner is None
-        or owner.retired
-        or getattr(container, "_ditto_refcount", 0) == 0
-    ):
-        try:
-            container._ditto_state = state
-        except AttributeError:
-            pass
+    if owner is None or owner.retired or header.refcount == 0:
+        header.state = state
         return
     from .errors import TenantIsolationError
 

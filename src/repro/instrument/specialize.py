@@ -135,16 +135,12 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
         if isinstance(obj, TrackedObject):
             stats.implicit_reads += 1
             node = stack[-1]
-            instance_dict = obj.__dict__
+            header = obj._ditto
             try:
-                # Steady-state fast path: two plain subscripts, no method
-                # binding (KeyError covers both a missing cache and a
-                # missing entry).
-                location = instance_dict["_ditto_loc_cache"][name]
+                # Steady-state fast path: one plain subscript, no method
+                # binding.
+                location = header.locations[name]
             except KeyError:
-                cache = instance_dict.get("_ditto_loc_cache")
-                if cache is None:
-                    cache = instance_dict["_ditto_loc_cache"] = {}
                 # Inlined FieldLocation(obj, name): direct slot stores plus
                 # the precomputed hash (same formula as Location.__init__),
                 # skipping the two-level __init__ chain.
@@ -153,12 +149,12 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
                 location.field = name
                 location.refcount = 0
                 location._hash = hash(("FieldLocation", id(obj), name))
-                cache[name] = location
+                header.locations[name] = location
             if location not in node.implicits:
                 # Adoption must precede any bookkeeping (see the soundness
                 # note in MemoTable.record_implicit); the identity test is
                 # the steady-state fast path.
-                if obj._ditto_state is not tracking:
+                if header.state is not tracking:
                     adopt_container(obj, tracking)
                 node.implicits.add(location)
                 dependents = entries_reverse.get(location)
@@ -168,13 +164,11 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
                     dependents.add(node)
                 # Location-attributed incref (as in record_implicit):
                 # ``location`` is already the interned instance, so no
-                # canonicalization.  The counters are plain instance-dict
-                # ints on dict-backed TrackedObjects (reads fall back to
-                # the class default 0), so the stores go straight into the
-                # dict.
+                # canonicalization, and the counters are slot stores on
+                # the header, never attribute stores on ``obj``.
                 location.refcount += 1
-                instance_dict["_ditto_locrefs"] = obj._ditto_locrefs + 1
-                instance_dict["_ditto_refcount"] = obj._ditto_refcount + 1
+                header.locrefs += 1
+                header.refcount += 1
             return getattr(obj, name)
         if obj is None or isinstance(obj, IMMUTABLE_RECEIVERS):
             return getattr(obj, name)
@@ -192,7 +186,8 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
         # filters them — so one extra frame only on graph growth.
         node = stack[-1]
         if location not in node.implicits:
-            if obj._ditto_state is not tracking:
+            header = obj._ditto
+            if header.state is not tracking:
                 adopt_container(obj, tracking)
             node.implicits.add(location)
             dependents = entries_reverse.get(location)
@@ -201,8 +196,8 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
             else:
                 dependents.add(node)
             location.refcount += 1
-            obj._ditto_locrefs += 1
-            obj._ditto_refcount += 1
+            header.locrefs += 1
+            header.refcount += 1
 
     def __ditem__(obj: Any, index: Any) -> Any:
         engine.steps += 1
@@ -210,7 +205,7 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
             engine._step_tail()
         if isinstance(obj, TrackedArray):
             stats.implicit_reads += 1
-            cache = obj._ditto_loc_cache
+            cache = obj._ditto.locations
             if isinstance(index, int) and index < 0:
                 # A negative read depends on the length too (growing the
                 # list retargets obj[-1] without writing the old tail).
@@ -260,14 +255,15 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
             engine._step_tail()
         if isinstance(obj, TrackedArray):
             stats.implicit_reads += 1
+            cache = obj._ditto.locations
             try:
-                location = obj._ditto_loc_cache["<len>"]
+                location = cache["<len>"]
             except KeyError:
                 location = new_length_loc(LengthLocation)
                 location.container = obj
                 location.refcount = 0
                 location._hash = hash(("LengthLocation", id(obj), "<len>"))
-                obj._ditto_loc_cache["<len>"] = location
+                cache["<len>"] = location
             if location not in stack[-1].implicits:
                 _record_array(obj, location)
             return len(obj)

@@ -40,10 +40,15 @@ Rules audited (names appear in findings and in ``AuditReport.rules_run``):
     propagation exists to establish.  A violation means some caller is
     holding a stale view of a callee.
 ``refcounts``
-    Each tracked container's §4 reference count covers this engine's
-    implicit-argument entries naming it (counts are global across engines,
-    so the audit checks a lower bound; an *under*-count means write
-    barriers are being skipped for locations the graph depends on).
+    Each tracked container's §4 reference count, its location-attributed
+    count ``locrefs``, and the count on each of its interned locations
+    cover this engine's implicit-argument entries naming the container
+    and that location (counts are global across engines, so the audit
+    checks lower bounds; an *under*-count means write barriers are being
+    skipped for locations the graph depends on — the per-location filter
+    skips a store whose interned location reads 0 while ``refcount ==
+    locrefs``).  Duck-typed containers keep their counts to themselves
+    and are not audited.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from ..core.errors import GraphAuditError
+from ..core.tracked import DittoHeader
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import DittoEngine
@@ -250,22 +256,45 @@ class GraphAuditor:
                     )
 
     def _audit_refcounts(self) -> Iterator[str]:
-        expected: dict[int, int] = {}
-        containers: dict[int, object] = {}
+        # This engine's census, by location identity: the implicit
+        # arguments of header-carrying containers hold the interned
+        # location, the instance whose count the barrier consults.
+        per_location: dict[int, list] = {}
         for node in self.engine.table:
             for location in node.implicits:
-                container = location.container
-                key = id(container)
-                containers[key] = container
-                expected[key] = expected.get(key, 0) + 1
-        for key, minimum in expected.items():
-            container = containers[key]
-            actual = getattr(container, "_ditto_refcount", None)
-            if actual is None:
-                continue  # not a refcounted container
-            if actual < minimum:
+                entry = per_location.get(id(location))
+                if entry is None:
+                    per_location[id(location)] = [location, 1]
+                else:
+                    entry[1] += 1
+        per_container: dict[int, list] = {}
+        for location, minimum in per_location.values():
+            container = location.container
+            header = getattr(container, "_ditto", None)
+            if type(header) is not DittoHeader:
+                continue  # duck-typed: not refcounted through a header
+            entry = per_container.get(id(container))
+            if entry is None:
+                per_container[id(container)] = [container, header, minimum]
+            else:
+                entry[2] += minimum
+            if location.refcount < minimum:
                 yield (
-                    f"{type(container).__name__} refcount {actual} is below "
-                    f"this engine's {minimum} implicit reference(s); write "
-                    f"barriers may be skipped for live locations"
+                    f"{type(container).__name__} location "
+                    f"{location.coordinate!r} refcount {location.refcount} "
+                    f"is below this engine's {minimum} implicit "
+                    f"reference(s); the per-location barrier filter may "
+                    f"skip stores to it"
                 )
+        for container, header, minimum in per_container.values():
+            for count, actual in (
+                ("refcount", header.refcount),
+                ("locrefs", header.locrefs),
+            ):
+                if actual < minimum:
+                    yield (
+                        f"{type(container).__name__} {count} {actual} is "
+                        f"below this engine's {minimum} implicit "
+                        f"reference(s); write barriers may be skipped for "
+                        f"live locations"
+                    )

@@ -194,9 +194,9 @@ class TestLifecycle:
         engine = DittoEngine(is_ordered)
         head = build_list([1, 2, 3])
         engine.run(head)
-        assert head._ditto_refcount > 0
+        assert head._ditto.refcount > 0
         engine.close()
-        assert head._ditto_refcount == 0
+        assert head._ditto.refcount == 0
 
 
 class TestErrorCases:

@@ -94,13 +94,13 @@ class TestMultipleInvariantsOneStructure:
         a = engine_factory(multi_ordered)
         b = engine_factory(multi_all_positive)
         a.run(head)
-        count_after_one = head._ditto_refcount
+        count_after_one = head._ditto.refcount
         b.run(head)
-        assert head._ditto_refcount > count_after_one
+        assert head._ditto.refcount > count_after_one
         a.close()
-        assert head._ditto_refcount > 0
+        assert head._ditto.refcount > 0
         b.close()
-        assert head._ditto_refcount == 0
+        assert head._ditto.refcount == 0
 
 
 class TestMultipleStructures:

@@ -102,10 +102,10 @@ class TestPruning:
         tail = Elem(3)
         head = Elem(1, Elem(2, tail))
         assert engine.run(head) == 3
-        assert tail._ditto_refcount > 0
+        assert tail._ditto.refcount > 0
         head.next = None
         assert engine.run(head) == 1
-        assert tail._ditto_refcount == 0
+        assert tail._ditto.refcount == 0
 
     def test_graph_tracks_live_computation_size(self, engine_factory):
         engine = engine_factory(list_len)

@@ -108,11 +108,11 @@ def test_jso_close_releases_once_per_location(observed, monkeypatch):
             )
         engine.close()
         assert len(calls) <= distinct
-        assert jso._ditto_refcount == 0
-        assert jso.reserved_names._ditto_refcount == 0
+        assert jso._ditto.refcount == 0
+        assert jso.reserved_names._ditto.refcount == 0
         assert all(
             location.refcount == 0
-            for location in jso.reserved_names._ditto_loc_cache.values()
+            for location in jso.reserved_names._ditto.locations.values()
         )
     finally:
         engine.close()

@@ -149,5 +149,5 @@ class TestWholeProgramSoak:
             assert engine.run(lst.head) is True
             engine.close()
         assert not tracking_state().is_monitored("next")
-        assert lst.head._ditto_refcount == 0
+        assert lst.head._ditto.refcount == 0
         assert len(tracking_state().write_log) == 0

@@ -59,11 +59,11 @@ class TestImplicits:
         node = _node(table, some_check, 1)
         loc = FieldLocation(heap, "value")
         table.record_implicit(node, loc)
-        assert heap._ditto_refcount == 1
+        assert heap._ditto.refcount == 1
         assert table.nodes_reading(loc) == {node}
         # Recording the same location twice is idempotent.
         table.record_implicit(node, loc)
-        assert heap._ditto_refcount == 1
+        assert heap._ditto.refcount == 1
 
     def test_record_stores_the_interned_location(self):
         """Implicit arguments hold the container's interned instance (the
@@ -79,10 +79,10 @@ class TestImplicits:
         (reverse_key, _), = table.reverse_items()
         assert reverse_key is interned
         assert interned.refcount == 1
-        assert heap._ditto_locrefs == heap._ditto_refcount == 1
+        assert heap._ditto.locrefs == heap._ditto.refcount == 1
         table.clear_implicits(node)
         assert interned.refcount == 0
-        assert heap._ditto_locrefs == heap._ditto_refcount == 0
+        assert heap._ditto.locrefs == heap._ditto.refcount == 0
 
     def test_clear_implicits_releases(self):
         table = MemoTable()
@@ -91,7 +91,7 @@ class TestImplicits:
         loc = FieldLocation(heap, "value")
         table.record_implicit(node, loc)
         table.clear_implicits(node)
-        assert heap._ditto_refcount == 0
+        assert heap._ditto.refcount == 0
         assert table.nodes_reading(loc) == set()
         assert table.reverse_map_size() == 0
 
@@ -103,11 +103,11 @@ class TestImplicits:
         loc = FieldLocation(heap, "value")
         table.record_implicit(a, loc)
         table.record_implicit(b, loc)
-        assert heap._ditto_refcount == 2
+        assert heap._ditto.refcount == 2
         assert table.nodes_reading(loc) == {a, b}
         table.clear_implicits(a)
         assert table.nodes_reading(loc) == {b}
-        assert heap._ditto_refcount == 1
+        assert heap._ditto.refcount == 1
 
     def test_map_locations_to_nodes(self):
         table = MemoTable()
@@ -277,7 +277,7 @@ class TestPrune:
         removed = table.prune(nodes[0])
         assert set(removed) == set(nodes)
         assert len(table) == 0
-        assert heap._ditto_refcount == 0
+        assert heap._ditto.refcount == 0
         assert table.reverse_map_size() == 0
 
     def test_prune_stops_at_shared_child(self):
@@ -303,7 +303,7 @@ class TestPrune:
         table.record_implicit(nodes[1], FieldLocation(heap, "value"))
         removed = table.clear()
         assert set(removed) == set(nodes)
-        assert heap._ditto_refcount == 0
+        assert heap._ditto.refcount == 0
         assert len(table) == 0
 
 

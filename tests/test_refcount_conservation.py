@@ -8,8 +8,8 @@ red-black tree, a Netcols board, a JSO program) without and with an
 observer (a trace sink routes fresh nodes through the engine's generic
 ``_exec`` instead of the compiled call closure) and check three things:
 
-* while a graph is live, every container's ``_ditto_refcount`` and
-  ``_ditto_locrefs``, and every interned location's ``refcount``, equal
+* while a graph is live, every container's header ``refcount`` and
+  ``locrefs``, and every interned location's ``refcount``, equal
   their value before the engine existed plus this graph's census of
   implicit arguments (counted per *interned instance*: the memo table
   stores the instance the barrier consults);
@@ -137,10 +137,10 @@ def _reachable(roots, seen: dict[int, object]) -> None:
             stack.extend(obj)
         elif isinstance(obj, TrackedObject):
             seen[id(obj)] = obj
-            stack.extend(
-                value for name, value in vars(obj).items()
-                if not name.startswith("_ditto")
-            )
+            # The attribute values, through the GC referents (the header
+            # among them is followed by no branch): vars() would give the
+            # object, and the shared red-black NIL, an instance dict.
+            stack.extend(gc.get_referents(obj))
         elif isinstance(obj, (list, tuple, set, frozenset)):
             stack.extend(obj)
         elif isinstance(obj, dict):
@@ -154,14 +154,14 @@ def _graph_containers(engine: DittoEngine, seen: dict[int, object]) -> None:
 
 
 def _counts(containers: dict[int, object]) -> dict[int, tuple]:
-    """``id -> (_ditto_refcount, _ditto_locrefs, {coordinate: refcount})``
-    over every interned location of every container."""
+    """``id -> (refcount, locrefs, {coordinate: refcount})``: each
+    container's header counts and the count of every interned location."""
     snapshot = {}
     for key, obj in containers.items():
-        cache = getattr(obj, "_ditto_loc_cache", None) or {}
+        cache = obj._ditto.locations
         snapshot[key] = (
-            obj._ditto_refcount,
-            obj._ditto_locrefs,
+            obj._ditto.refcount,
+            obj._ditto.locrefs,
             {coord: loc.refcount for coord, loc in cache.items()},
         )
     return snapshot
@@ -184,7 +184,7 @@ def _expected(
     expected = {}
     for key, obj in containers.items():
         refcount, locrefs, locations = baseline.get(key, (0, 0, {}))
-        cache = getattr(obj, "_ditto_loc_cache", None) or {}
+        cache = obj._ditto.locations
         expected[key] = (
             refcount + per_container[key],
             locrefs + per_container[key],
@@ -357,14 +357,14 @@ class CoarseBox:
     """A custom refcounted container with only the coarse hooks."""
 
     def __init__(self) -> None:
-        self._ditto_refcount = 0
+        self.refs = 0
         self.value = 0
 
     def _ditto_incref(self) -> None:
-        self._ditto_refcount += 1
+        self.refs += 1
 
     def _ditto_decref(self) -> None:
-        self._ditto_refcount -= 1
+        self.refs -= 1
 
 
 @check
@@ -395,9 +395,9 @@ class TestCoarseDuckContainer:
 
     def test_record_and_clear_implicits(self, tracked_domain):
         table, box, nodes = self._table(tracked_domain)
-        assert box._ditto_refcount == 8
+        assert box.refs == 8
         table.clear_implicits(nodes[0])
-        assert box._ditto_refcount == 6
+        assert box.refs == 6
         assert table.reverse_map_size() == 2
 
     def test_prune_releases(self, tracked_domain):
@@ -405,7 +405,7 @@ class TestCoarseDuckContainer:
         table.add_edge(nodes[0], nodes[1])
         removed = table.prune(nodes[0])
         assert set(removed) == {nodes[0], nodes[1]}
-        assert box._ditto_refcount == 4
+        assert box.refs == 4
 
     def test_batched_clear_releases_through_coarse_hook(self, tracked_domain):
         table, box, nodes = self._table(tracked_domain)
@@ -419,7 +419,7 @@ class TestCoarseDuckContainer:
         box._ditto_decref = counting_decref  # type: ignore[method-assign]
         table.clear()
         assert len(decrefs) == 8
-        assert box._ditto_refcount == 0
+        assert box.refs == 0
         assert table.reverse_map_size() == 0
         assert all(not node.implicits for node in nodes)
 

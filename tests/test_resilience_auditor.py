@@ -238,9 +238,27 @@ class TestCorruptionDetection:
         engine, _ = warm_engine
         node = _a_node_with_implicits(engine)
         container = next(iter(node.implicits)).container
-        container._ditto_refcount = 0
+        container._ditto.refcount = 0
         report = engine.audit(raise_on_failure=False)
         assert report.by_rule("refcounts")
+
+    def test_undercounted_location_refcount(self, engine_factory,
+                                            engine_mode):
+        """One live location's count at 0 while the container counts stay
+        equal: the per-location barrier filter would skip stores to it
+        (``third.value = -5`` would go unseen and the engine would keep
+        answering True)."""
+        engine = engine_factory(aud_ordered, mode=engine_mode)
+        head = build(*range(10))
+        assert engine.run(head) is True
+        third = head.next.next
+        location = third._ditto_location("value")
+        assert location.refcount > 0
+        location.refcount = 0
+        report = engine.audit(raise_on_failure=False)
+        findings = report.by_rule("refcounts")
+        assert findings
+        assert "'value'" in str(findings[0])
 
     def test_audit_raises_by_default(self, warm_engine):
         engine, _ = warm_engine

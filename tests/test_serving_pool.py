@@ -374,15 +374,15 @@ def test_repeated_steal_attempts_never_drain_the_owners_refcounts():
         # Warm graph on the intruder: the steal below goes through root
         # retargeting + retry rounds, not the cold first-run path.
         assert pool.check("intruder", own).unwrap() is True
-        refcount_before = stolen._ditto_refcount
+        refcount_before = stolen._ditto.refcount
         for _ in range(5):
             res = pool.check("intruder", stolen)
             assert res.status == ERROR
             assert isinstance(res.error, TenantIsolationError), res.error
-        assert stolen._ditto_refcount == refcount_before, (
+        assert stolen._ditto.refcount == refcount_before, (
             "failed adoptions must not touch the owner's refcounts"
         )
-        assert stolen._ditto_state is pool.tracking("owner")
+        assert stolen._ditto.state is pool.tracking("owner")
         # The owner's graph is fully intact: its barrier still fires and
         # the incremental repair still sees the mutation.
         def corrupt():

@@ -73,12 +73,12 @@ class TestTrackedObjectBarrier:
 
     def test_refcount_round_trip(self):
         c = Cell()
-        assert c._ditto_refcount == 0
+        assert c._ditto.refcount == 0
         c._ditto_incref()
         c._ditto_incref()
-        assert c._ditto_refcount == 2
+        assert c._ditto.refcount == 2
         c._ditto_decref()
-        assert c._ditto_refcount == 1
+        assert c._ditto.refcount == 1
 
     def test_is_tracked(self):
         assert is_tracked(Cell())

@@ -11,9 +11,20 @@ before the per-:class:`TrackingState` scoping.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
-from repro import DittoEngine, FaultPlan, TrackedObject, check, inject_faults
+from repro import (
+    DittoEngine,
+    FaultPlan,
+    TrackedList,
+    TrackedObject,
+    check,
+    inject_faults,
+)
+from repro.apps.jso import JList, JsObfuscator, generate_program, jso_invariant
 from repro.core.errors import TenantIsolationError
 from repro.core.tracked import TrackingState, adopt_container
 
@@ -169,5 +180,84 @@ def test_adopt_container_is_idempotent_and_duck_typed():
     node = Node(1)
     adopt_container(node, state)
     adopt_container(node, state)  # idempotent
-    assert node._ditto_state is state
+    assert node._ditto.state is state
     adopt_container(object(), state)  # non-tracked: silently ignored
+
+
+# Copies of checked structures. -------------------------------------------------
+#
+# The header is per-container engine state: a copy, deep copy or unpickled
+# object is a new container, unreferenced and unowned, and must not share
+# or clone the original's counts, interned locations or owning domain.
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@check
+def positive_from(xs, i):
+    if i == len(xs):
+        return True
+    if xs[i] <= 0:
+        return False
+    return positive_from(xs, i + 1)
+
+
+@check
+def all_positive(xs):
+    return positive_from(xs, 0)
+
+
+def _assert_fresh_header(original, clone):
+    header = clone._ditto
+    assert header is not original._ditto
+    assert (header.refcount, header.locrefs, header.state) == (0, 0, None)
+    assert header.locations == {}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_copied_jso_gets_a_fresh_header(engine_factory, how):
+    jso = JsObfuscator()
+    for chunk in generate_program(12, seed=3):
+        jso.feed(chunk)
+    engine = engine_factory(jso_invariant)
+    assert engine.run(jso) is True
+    assert jso._ditto.refcount > 0
+
+    clone = COPIES[how](jso)
+    _assert_fresh_header(jso, clone)
+    before = engine.tracking.barrier_counters()
+    # A monitored store to the copy's own field: the copy is unreferenced,
+    # so nothing is logged, least of all the original's location.
+    clone.names = JList("Protected", clone.names)
+    assert engine.tracking.barrier_counters() == before
+
+    assert engine.run(jso) is jso_invariant(jso) is True
+    fresh = engine_factory(jso_invariant)
+    assert fresh.run(clone) is jso_invariant(clone) is False
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_copied_tracked_list_gets_a_fresh_header(engine_factory, how):
+    values = TrackedList([3, 1, 4, 1, 5])
+    engine = engine_factory(all_positive)
+    assert engine.run(values) is True
+    assert values._ditto.refcount > 0
+
+    clone = COPIES[how](values)
+    _assert_fresh_header(values, clone)
+    before = engine.tracking.barrier_counters()
+    clone[1] = -1
+    clone.append(9)
+    clone.insert(0, 2)
+    assert engine.tracking.barrier_counters() == before
+    # Even a shallow copy has its own backing list.
+    assert list(values) == [3, 1, 4, 1, 5]
+    assert list(clone) == [2, 3, -1, 4, 1, 5, 9]
+
+    assert engine.run(values) is all_positive(values) is True
+    fresh = engine_factory(all_positive)
+    assert fresh.run(clone) is all_positive(clone) is False
