@@ -35,28 +35,37 @@ def exact_names() -> list[str]:
     ]
 
 
-def measure(seed: int, names: list[str]) -> dict:
-    """One traced ``--workload all`` run: its exact counters, keyed
-    ``<workload>/<metric>``."""
+def run_perfbench(checkout: Path, workload: str, seed: int,
+                  seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` run in ``checkout``: its ``metrics``
+    mapping.  Aborts unless the run reads ``"correct": true,
+    "failed": 0``."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", "all", "--seed", str(seed), "--seconds", "1",
-         "--trace", "1"],
-        capture_output=True, text=True, cwd=ROOT,
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
+        capture_output=True, text=True, cwd=checkout,
     )
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
-        raise SystemExit(f"perfbench run for seed {seed} failed")
+        raise SystemExit(f"perfbench failed in {checkout} (seed {seed})")
     result = json.loads(lines[-1])
     if result["correct"] is not True or result["failed"] != 0:
         raise SystemExit(
-            f"perfbench seed {seed}: correct={result['correct']} "
-            f"failed={result['failed']}"
+            f"perfbench in {checkout} (seed {seed}): "
+            f"correct={result['correct']} failed={result['failed']}"
         )
+    return result["metrics"]
+
+
+def measure(seed: int, names: list[str]) -> dict:
+    """One traced ``--workload all`` run: its exact counters, keyed
+    ``<workload>/<metric>``."""
+    metrics = run_perfbench(ROOT, "all", seed, 1, trace=1)
     return {
         key: metric["value"]
-        for key, metric in sorted(result["metrics"].items())
+        for key, metric in sorted(metrics.items())
         if key.split("/", 1)[1] in names
     }
 

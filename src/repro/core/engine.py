@@ -110,6 +110,48 @@ _MAX_RETRY_ROUNDS = 3
 _STRATEGY_CHOICES = ("memo", "derived", "hybrid", "auto")
 
 
+class _RecursionLimitScope:
+    """The raised interpreter recursion limit, shared by every run in the
+    process.
+
+    ``sys.setrecursionlimit`` applies to every thread at once, and engines
+    on different threads run in parallel (the serving pool runs shards on
+    a thread pool).  So a run that ends must not put back the limit it
+    found while another run is still going, possibly deeper than that
+    limit.  The scope counts the runs inside it: any run raises the limit
+    to its own ``recursion_limit`` if the current one is lower, the first
+    raise records the caller's limit, and only the last run out restores
+    it."""
+
+    __slots__ = ("_lock", "_active", "_caller_limit")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._active = 0
+        #: The limit before the first raise, while any run is inside;
+        #: None when no run has raised it.
+        self._caller_limit: Optional[int] = None
+
+    def enter(self, limit: int) -> None:
+        with self._lock:
+            current = sys.getrecursionlimit()
+            if current < limit:
+                sys.setrecursionlimit(limit)
+                if self._caller_limit is None:
+                    self._caller_limit = current
+            self._active += 1
+
+    def exit(self) -> None:
+        with self._lock:
+            self._active -= 1
+            if self._active == 0 and self._caller_limit is not None:
+                sys.setrecursionlimit(self._caller_limit)
+                self._caller_limit = None
+
+
+_RECURSION_SCOPE = _RecursionLimitScope()
+
+
 def _resolve_strategy(setting: str) -> str:
     """Map the ``strategy`` option (plus ``DITTO_STRATEGY`` under
     ``"auto"``) to the repair-strategy decision."""
@@ -167,9 +209,11 @@ class DittoEngine:
                 f"lint must be 'off', 'warn', or 'strict', got {lint!r}"
             )
         #: Checks recurse once per structure element and the engine adds a
-        #: few frames per invocation, so runs raise the interpreter
-        #: recursion limit to at least this value (None disables; for very
-        #: deep structures run inside
+        #: few frames per invocation, so each run raises the interpreter
+        #: recursion limit to at least this value; the caller's limit is
+        #: restored when the last concurrent run ends (see
+        #: :class:`_RecursionLimitScope`; None disables; for very deep
+        #: structures run inside
         #: :func:`repro.bench.runner.run_with_big_stack`).
         self.recursion_limit = recursion_limit
         self.entry = as_check(entry)
@@ -469,6 +513,12 @@ class DittoEngine:
                     self.last_duration = time.perf_counter() - start
             start = time.perf_counter()
             aborted = True
+            # The raised recursion limit is scoped to the run, fallback
+            # rebuilds included: the caller's limit is restored however
+            # the run ends, once no other run is still inside the scope.
+            limit = self.recursion_limit
+            if limit is not None:
+                _RECURSION_SCOPE.enter(limit)
             try:
                 if self.derived is not None:
                     result = self._run_derived(args)
@@ -477,6 +527,8 @@ class DittoEngine:
                 aborted = False
                 return result
             finally:
+                if limit is not None:
+                    _RECURSION_SCOPE.exit()
                 self.last_duration = time.perf_counter() - start
                 if self.recorder is not None:
                     self.recorder.end_run(
@@ -658,11 +710,6 @@ class DittoEngine:
         combiner.  The original check still computes every authoritative
         value, so exceptions and result types match scratch bit-for-bit."""
         self.stats.runs += 1
-        if (
-            self.recursion_limit is not None
-            and sys.getrecursionlimit() < self.recursion_limit
-        ):
-            sys.setrecursionlimit(self.recursion_limit)
         start = self._phase_begin("barrier_drain")
         try:
             pending = self.tracking.write_log.consume(self._log_cid)
@@ -841,11 +888,6 @@ class DittoEngine:
     def _run_tracked(self, args: tuple) -> Any:
         self.stats.runs += 1
         self.steps = 0
-        if (
-            self.recursion_limit is not None
-            and sys.getrecursionlimit() < self.recursion_limit
-        ):
-            sys.setrecursionlimit(self.recursion_limit)
         try:
             return self._incrementalize(args)
         except DittoError:

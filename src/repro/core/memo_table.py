@@ -53,6 +53,11 @@ def _merge_intervals(
 _TRACKED = (TrackedObject, TrackedArray)
 
 
+def _duck_key(location: Location) -> tuple:
+    """Key of a duck-typed container's location in ``MemoTable._duck``."""
+    return (type(location), id(location.container), location._coord())
+
+
 def _release(location: Location, times: int) -> None:
     """Release ``times`` references to ``location``.  The shipped tracked
     types are decremented directly on the location (their interned
@@ -97,6 +102,12 @@ class MemoTable:
         #: the key tuple is the node's own ``key``.
         self._entries: dict[tuple[int, tuple], ComputationNode] = {}
         self._reverse: dict[Location, set[ComputationNode]] = {}
+        #: Canonical locations of containers without a header (duck-typed
+        #: tracked types), by ``_duck_key``: their location constructors
+        #: cannot intern, so the table does.  An entry lives exactly as
+        #: long as its location is a reverse-map key, whose strong
+        #: reference to the container keeps the ``id()`` from recycling.
+        self._duck: dict[tuple, Location] = {}
         self.tracking = tracking
 
     # Entry lookup. ----------------------------------------------------------
@@ -129,14 +140,19 @@ class MemoTable:
         """Add ``location`` to ``node``'s implicit arguments, updating the
         reverse map and the container's reference counts.
 
-        For the shipped tracked types the *interned* instance (the one in
-        the container's location cache, which the write barrier consults)
-        is what gets stored, in ``node.implicits`` and in the reverse map
-        alike; :meth:`clear_implicits` and :meth:`clear` rely on that to
-        release counts without re-canonicalizing."""
+        For the shipped tracked types ``location`` must be the container's
+        interned instance (the one the write barrier logs and whose count
+        it consults), which every location constructor returns; it is
+        stored as-is in ``node.implicits`` and the reverse map alike, and
+        :meth:`clear_implicits` and :meth:`clear` decrement it directly.
+        A duck-typed container's locations are canonicalized here."""
+        container = location.container
+        tracked = isinstance(container, _TRACKED)
+        if not tracked:
+            key = _duck_key(location)
+            location = self._duck.get(key, location)
         if location in node.implicits:
             return
-        container = location.container
         if self.tracking is not None:
             # First reference into the container binds its barriers to this
             # engine's isolation domain (raises TenantIsolationError on a
@@ -148,11 +164,6 @@ class MemoTable:
             # time — until a retry found refcount 0 and adopted the
             # structure out from under its owner.
             adopt_container(container, self.tracking)
-        tracked = isinstance(container, _TRACKED)
-        if tracked:
-            # Callers on the read path already pass the interned instance,
-            # so this is a cache hit.
-            location = container._ditto_location(location.coordinate)
         node.implicits.add(location)
         dependents = self._reverse.get(location)
         if dependents is None:
@@ -168,6 +179,7 @@ class MemoTable:
             header.locrefs += 1
             header.refcount += 1
         else:
+            self._duck[key] = location
             incref_loc = getattr(container, "_ditto_incref_loc", None)
             if incref_loc is not None:
                 incref_loc(location)
@@ -198,11 +210,20 @@ class MemoTable:
                 header.refcount -= 1
             else:
                 _release(location, 1)
+                if location not in reverse:
+                    self._duck.pop(_duck_key(location), None)
         node.implicits.clear()
+
+    def _keyed(self, location: Location) -> Location:
+        """The instance the reverse map keys ``location`` under: itself,
+        or a duck-typed container's canonical twin if one is recorded."""
+        if self._duck:
+            return self._duck.get(_duck_key(location), location)
+        return location
 
     def nodes_reading(self, location: Location) -> set[ComputationNode]:
         """Nodes whose implicit arguments include ``location``."""
-        return self._reverse.get(location, set())
+        return self._reverse.get(self._keyed(location), set())
 
     def map_locations_to_nodes(
         self, locations: Iterable[Location]
@@ -214,8 +235,11 @@ class MemoTable:
         arguments always name individual slots, so a range can never hit
         the reverse map as-is.  Ranges are first merged per container,
         then each merged interval is expanded by whichever side is
-        smaller: probing one interned slot location per covered index, or
-        scanning the reverse map once when the span exceeds its size."""
+        smaller: probing the container's interned slot location (if any)
+        per covered index, or scanning the reverse map once when the span
+        exceeds its size."""
+        reverse = self._reverse
+        duck = self._duck
         dirty: set[ComputationNode] = set()
         ranges: dict[int, tuple[Any, list[tuple[int, int]]]] = {}
         for loc in locations:
@@ -225,25 +249,31 @@ class MemoTable:
                                               (loc.container, []))
                     entry[1].append((loc.start, loc.stop))
                 continue
-            dependents = self._reverse.get(loc)
+            dependents = reverse.get(loc)
+            if dependents is None and duck:
+                dependents = reverse.get(self._keyed(loc))
             if dependents:
                 dirty.update(dependents)
         for container, intervals in ranges.values():
             for start, stop in _merge_intervals(intervals):
-                if stop - start <= len(self._reverse):
-                    cache = (
-                        container._ditto.locations
-                        if isinstance(container, _TRACKED) else None
-                    )
-                    for index in range(start, stop):
-                        probe = None if cache is None else cache.get(index)
-                        if probe is None:
-                            probe = IndexLocation(container, index)
-                        dependents = self._reverse.get(probe)
-                        if dependents:
-                            dirty.update(dependents)
+                if stop - start <= len(reverse):
+                    # A slot no node has read has no interned location, so
+                    # the probes intern nothing.
+                    if isinstance(container, _TRACKED):
+                        probes = map(container._ditto.locations.get,
+                                     range(start, stop))
+                    else:
+                        probes = (
+                            duck.get((IndexLocation, id(container), index))
+                            for index in range(start, stop)
+                        )
+                    for probe in probes:
+                        if probe is not None:
+                            dependents = reverse.get(probe)
+                            if dependents:
+                                dirty.update(dependents)
                 else:
-                    for key, dependents in self._reverse.items():
+                    for key, dependents in reverse.items():
                         if (
                             type(key) is IndexLocation
                             and key.container is container
@@ -358,6 +388,7 @@ class MemoTable:
             node.callers = None
         self._entries.clear()
         self._reverse.clear()
+        self._duck.clear()
         return removed
 
     # Introspection used by tests and the graph auditor. -----------------------

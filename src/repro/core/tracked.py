@@ -374,7 +374,8 @@ class DittoHeader:
       differ exactly when a coarse reference is live, which turns the
       per-location barrier filter off for the container.
     * ``locations`` — the interned point locations, by coordinate (field
-      name, slot index, or ``"<len>"``).
+      name, slot index, or ``"<len>"``), filled on first use by the
+      location constructors (:mod:`repro.core.locations`).
     * ``state`` — the owning :class:`TrackingState`, set on adoption by
       the first memo table that takes a reference; ``None`` means the
       process-default state.
@@ -438,11 +439,11 @@ class TrackedObject:
     def _ditto_location(self, name: str) -> FieldLocation:
         """Interned :class:`FieldLocation` for ``self.<name>`` — one object
         per (container, field), shared by write barriers and implicit-read
-        recording so the hot paths skip Location construction/hashing."""
-        locations = self._ditto.locations
-        location = locations.get(name)
+        recording.  A cache hit skips the constructor, which interns the
+        location on first use."""
+        location = self._ditto.locations.get(name)
         if location is None:
-            location = locations[name] = FieldLocation(self, name)
+            location = FieldLocation(self, name)
         return location
 
     # Coarse reference counts (derived maintainers, tests).  The memo table
@@ -499,14 +500,12 @@ class TrackedArray:
     def _ditto_location(self, index: "int | str") -> Location:
         """Interned :class:`IndexLocation` (or, for the key ``"<len>"``,
         :class:`LengthLocation`) — see ``TrackedObject._ditto_location``."""
-        locations = self._ditto.locations
-        location = locations.get(index)
+        location = self._ditto.locations.get(index)
         if location is None:
             if index == "<len>":
                 location = LengthLocation(self)
             else:
                 location = IndexLocation(self, index)
-            locations[index] = location
         return location
 
     def __setitem__(self, index: int, value: Any) -> None:

@@ -26,7 +26,9 @@ Those per-operation constant factors are what §5.1.1's crossover size
 measures: incremental checking only wins once the structure outgrows them.
 The per-call closure ``__dcall_<uid>__`` likewise inlines the memo-key
 construction (the plain ``(uid, parts)`` tuple; no
-:class:`~repro.core.argkeys.ArgsKey` is built), the memo probe, node
+:class:`~repro.core.argkeys.ArgsKey` is built, and the parts of exact
+atoms and tracked containers are spelled without a ``_freeze`` frame),
+the memo probe, node
 creation with the node linked last in the order list as its own record,
 and call-edge recording, with the §4 leaf-call fast path emitted
 only for callees whose signature makes a leaf call statically possible
@@ -58,7 +60,7 @@ import ast
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..core.argkeys import _freeze, is_primitive
+from ..core.argkeys import _ATOM_TYPES, _ID_TAG, _freeze, is_primitive
 from ..core.errors import (
     OptimisticMispredictionError,
     ResultTypeError,
@@ -122,9 +124,7 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
     entries_reverse = table._reverse
     tracking = engine.tracking
     strict = engine.strict
-    new_field_loc = FieldLocation.__new__
-    new_index_loc = IndexLocation.__new__
-    new_length_loc = LengthLocation.__new__
+    new_location = object.__new__
 
     def __dget__(obj: Any, name: str) -> Any:
         # Step, interned-location lookup, and the record_implicit path
@@ -141,15 +141,14 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
                 # binding.
                 location = header.locations[name]
             except KeyError:
-                # Inlined FieldLocation(obj, name): direct slot stores plus
-                # the precomputed hash (same formula as Location.__init__),
-                # skipping the two-level __init__ chain.
-                location = new_field_loc(FieldLocation)
+                # Inlined FieldLocation(obj, name) on first use: direct
+                # slot stores, interned with setdefault as the constructor
+                # does.
+                location = new_location(FieldLocation)
                 location.container = obj
                 location.field = name
                 location.refcount = 0
-                location._hash = hash(("FieldLocation", id(obj), name))
-                header.locations[name] = location
+                location = header.locations.setdefault(name, location)
             if location not in node.implicits:
                 # Adoption must precede any bookkeeping (see the soundness
                 # note in MemoTable.record_implicit); the identity test is
@@ -179,66 +178,48 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
             )
         return getattr(obj, name)
 
-    def _record_array(obj: Any, location: Any) -> None:
-        # Shared slow-ish half of the array paths: first-time recording of
-        # an interned array location (slot or length).  Steady-state reads
-        # never reach here — the ``in node.implicits`` test in the callers
-        # filters them — so one extra frame only on graph growth.
-        node = stack[-1]
-        if location not in node.implicits:
-            header = obj._ditto
-            if header.state is not tracking:
-                adopt_container(obj, tracking)
-            node.implicits.add(location)
-            dependents = entries_reverse.get(location)
-            if dependents is None:
-                entries_reverse[location] = {node}
-            else:
-                dependents.add(node)
-            location.refcount += 1
-            header.locrefs += 1
-            header.refcount += 1
-
     def __ditem__(obj: Any, index: Any) -> Any:
+        # Like __dget__: interned-location lookup and first-read recording
+        # in this one frame.
         engine.steps += 1
         if engine._step_active:
             engine._step_tail()
         if isinstance(obj, TrackedArray):
             stats.implicit_reads += 1
-            cache = obj._ditto.locations
+            node = stack[-1]
+            header = obj._ditto
             if isinstance(index, int) and index < 0:
                 # A negative read depends on the length too (growing the
                 # list retargets obj[-1] without writing the old tail).
-                try:
-                    location = cache["<len>"]
-                except KeyError:
-                    location = new_length_loc(LengthLocation)
-                    location.container = obj
-                    location.refcount = 0
-                    location._hash = hash(
-                        ("LengthLocation", id(obj), "<len>")
-                    )
-                    cache["<len>"] = location
-                if location not in stack[-1].implicits:
-                    _record_array(obj, location)
+                # Rare, so recorded through the table's generic path.
+                table.record_implicit(node, obj._ditto_location("<len>"))
                 index += len(obj)
                 if index < 0:
                     # Out of range after normalization: natural IndexError,
                     # no phantom slot recorded.
                     return obj[index]
             try:
-                location = cache[index]
+                location = header.locations[index]
             except KeyError:
                 # Inlined IndexLocation(obj, index), like __dget__'s
                 # FieldLocation path.
-                location = new_index_loc(IndexLocation)
+                location = new_location(IndexLocation)
                 location.container = obj
                 location.index = index
                 location.refcount = 0
-                location._hash = hash(("IndexLocation", id(obj), index))
-                cache[index] = location
-            if location not in stack[-1].implicits:
-                _record_array(obj, location)
+                location = header.locations.setdefault(index, location)
+            if location not in node.implicits:
+                if header.state is not tracking:
+                    adopt_container(obj, tracking)
+                node.implicits.add(location)
+                dependents = entries_reverse.get(location)
+                if dependents is None:
+                    entries_reverse[location] = {node}
+                else:
+                    dependents.add(node)
+                location.refcount += 1
+                header.locrefs += 1
+                header.refcount += 1
             return obj[index]
         if isinstance(obj, (str, bytes, tuple, frozenset, range)):
             return obj[index]
@@ -255,17 +236,27 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
             engine._step_tail()
         if isinstance(obj, TrackedArray):
             stats.implicit_reads += 1
-            cache = obj._ditto.locations
+            node = stack[-1]
+            header = obj._ditto
             try:
-                location = cache["<len>"]
+                location = header.locations["<len>"]
             except KeyError:
-                location = new_length_loc(LengthLocation)
+                location = new_location(LengthLocation)
                 location.container = obj
                 location.refcount = 0
-                location._hash = hash(("LengthLocation", id(obj), "<len>"))
-                cache["<len>"] = location
-            if location not in stack[-1].implicits:
-                _record_array(obj, location)
+                location = header.locations.setdefault("<len>", location)
+            if location not in node.implicits:
+                if header.state is not tracking:
+                    adopt_container(obj, tracking)
+                node.implicits.add(location)
+                dependents = entries_reverse.get(location)
+                if dependents is None:
+                    entries_reverse[location] = {node}
+                else:
+                    dependents.add(node)
+                location.refcount += 1
+                header.locrefs += 1
+                header.refcount += 1
             return len(obj)
         if isinstance(obj, (str, bytes, tuple, frozenset, range)):
             return len(obj)
@@ -417,6 +408,9 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
     naive_value = engine._naive_value
     compiled_map = engine._compiled
     freeze = _freeze
+    atom_types = _ATOM_TYPES
+    id_tag = _ID_TAG
+    tracked_types = (TrackedObject, TrackedArray)
     # §4 leaf-call fast path: statically impossible for zero-parameter
     # callees (a leaf call needs at least one None reference argument), so
     # the test is emitted only when it can ever succeed.
@@ -446,8 +440,20 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
                     return compiled_map[uid](*args)
         caller = stack[-1]
         # The memo key is the plain tuple ComputationNode.__init__ builds
-        # from ArgsKey(args); tuple hashing and equality run in C.
-        key = (uid, tuple(map(freeze, args)))
+        # from ArgsKey(args); tuple hashing and equality run in C.  Exact
+        # atoms and tracked containers are spelled inline as the very
+        # tokens _freeze produces for them; every other kind of argument
+        # goes through _freeze.
+        parts = []
+        for a in args:
+            t = a.__class__
+            if t in atom_types:
+                parts.append((t, a))
+            elif isinstance(a, tracked_types):
+                parts.append((id_tag, id(a)))
+            else:
+                parts.append(freeze(a))
+        key = (uid, tuple(parts))
         node = entries.get(key)
         if node is None:
             # Fresh invocation: create the node and execute it inline
@@ -508,7 +514,9 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
             finally:
                 node.in_progress = False
                 stack.pop()
-            if not is_primitive(result):
+            if result.__class__ not in atom_types and not is_primitive(
+                result
+            ):
                 raise ResultTypeError(
                     f"check {func_name!r} returned "
                     f"{type(result).__name__}; checks must return "

@@ -19,6 +19,11 @@ Rules audited (names appear in findings and in ``AuditReport.rules_run``):
 ``reverse-map``
     The location→nodes map and each node's recorded implicit reads are
     mirror images (both inclusions), and no pruned node lingers in either.
+    Every implicit argument and reverse-map key whose container carries a
+    ``DittoHeader`` is that container's interned location
+    (``header.locations[coordinate]``): point locations hash by identity,
+    and the barrier logs the interned instance, so a node recorded under
+    a twin would never be dirtied.
 ``edges``
     ``calls`` lists and ``callers`` multiplicities (read through
     ``ComputationNode.caller_map``) agree edge-for-edge, every stored
@@ -61,6 +66,7 @@ from ..core.tracked import DittoHeader
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import DittoEngine
+    from ..core.locations import Location
 
 
 @dataclass(frozen=True)
@@ -101,6 +107,16 @@ class AuditReport:
             )
         lines = "\n  - ".join(str(f) for f in self.findings)
         return f"audit FAILED ({len(self.findings)} findings):\n  - {lines}"
+
+
+def _is_interned(location: "Location") -> bool:
+    """False iff ``location``'s container carries a header that interns
+    another instance (or none) at its coordinate."""
+    header = getattr(location.container, "_ditto", None)
+    return (
+        type(header) is not DittoHeader
+        or header.locations.get(location.coordinate) is location
+    )
 
 
 class GraphAuditor:
@@ -159,6 +175,11 @@ class GraphAuditor:
     def _audit_reverse_map(self) -> Iterator[str]:
         table = self.engine.table
         for location, dependents in table.reverse_items():
+            if not _is_interned(location):
+                yield (
+                    f"reverse map keys {location}, not its container's "
+                    f"interned location; the barrier's writes to it miss"
+                )
             for node in dependents:
                 if not table.contains(node):
                     yield f"reverse map {location} lists pruned node {node}"
@@ -171,6 +192,12 @@ class GraphAuditor:
             for location in node.implicits:
                 if node not in table.nodes_reading(location):
                     yield f"reverse map missing {location} -> {node}"
+                if not _is_interned(location):
+                    yield (
+                        f"{node} records {location}, not its container's "
+                        f"interned location; the barrier's writes to it "
+                        f"never dirty the node"
+                    )
 
     def _audit_edges(self) -> Iterator[str]:
         table = self.engine.table

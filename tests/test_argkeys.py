@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import ArgsKey, TrackedObject, check
+from repro import ArgsKey, TrackedArray, TrackedList, TrackedObject, check
 from repro.core.argkeys import is_primitive
 
 
@@ -311,3 +311,45 @@ class TestMemoKeyParityEngine:
             assert engine.run(head) is True
             assert probe_nodes() == before + is_new, (value, is_new)
         assert probe_nodes() == len(seen) == 11
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+class TestMemoKeyParityCorpus:
+    """Every row key the compiled call closure stores is exactly
+    ``(uid, ArgsKey(args)._parts)``: the inline spelling for exact atoms
+    and tracked containers and ``_freeze`` for everything else agree."""
+
+    def test_stored_keys_equal_argskey_parts(self, engine_factory):
+        corpus = [
+            1, True, 1.0, 0.0, -0.0, float("nan"),
+            "s", b"b", None,
+            (1, "a", (2.5, None)), (1, Box(0)),
+            _Int(3), _Float(-0.0), _Tuple((1, 2)),
+            complex(1, -0.0), frozenset({1, "x"}),
+            Box(1), TrackedArray([1]), TrackedList([2]), object(),
+        ]
+        # No leaf calls: key_probe(None) must be a memoized call too.
+        engine = engine_factory(probe_cells, leaf_optimization=False)
+        head = None
+        for value in corpus:
+            head = Cell(value, head)
+        assert engine.run(head) is True
+        rows = list(engine.table.entries())
+        for key, node in rows:
+            assert key == (node.func.uid, ArgsKey(node.args)._parts)
+        probed = {key for key, node in rows if node.func is key_probe}
+        assert probed == {
+            (key_probe.uid, ArgsKey((value,))._parts) for value in corpus
+        }
+        assert len(probed) == len(corpus)

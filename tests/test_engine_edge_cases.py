@@ -3,6 +3,9 @@ tuple returns, write-log hygiene, graph reuse limits."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro import (
@@ -106,6 +109,114 @@ class TestDeepStructures:
 
     def test_run_with_big_stack_returns_value(self):
         assert run_with_big_stack(lambda: 42) == 42
+
+
+class TestRecursionLimitScope:
+    def test_caller_limit_restored_after_return_and_raise(
+        self, engine_factory
+    ):
+        """A run raises the interpreter recursion limit for itself only:
+        the caller's limit is back after run() returns and after it
+        raises."""
+
+        @check
+        def sum_of_quotients(e):
+            if e is None:
+                return 0
+            return 12 // e.value + sum_of_quotients(e.next)
+
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1500)
+        try:
+            engine = engine_factory(sum_of_quotients, recursion_limit=20_000)
+            head = Elem(1, Elem(2, Elem(3)))
+            assert engine.run(head) == 22
+            assert sys.getrecursionlimit() == 1500
+            head.next.value = 0
+            with pytest.raises(ZeroDivisionError):
+                engine.run(head)
+            assert sys.getrecursionlimit() == 1500
+        finally:
+            sys.setrecursionlimit(saved)
+
+    def test_run_that_returns_keeps_the_limit_for_a_deeper_run(
+        self, engine_factory
+    ):
+        """The limit is process-wide.  Run A raises it first; run B, on
+        another thread, starts under A's raised limit and is still on its
+        way down a list deeper than the caller's limit allows when A
+        returns.  Both runs succeed, and only the last run out puts the
+        caller's limit back."""
+
+        @check
+        def deep_count(e):
+            if e is None:
+                return 0
+            return 1 + deep_count(e.next)
+
+        depth = 1200
+        deep_head = None
+        for _ in range(depth):
+            deep_head = Elem(0, deep_head)
+        short_head = Elem(0, Elem(0))
+        a_inside = threading.Event()
+        b_deep = threading.Event()
+        a_returned = threading.Event()
+
+        def hold_a(engine):
+            if not a_inside.is_set():
+                a_inside.set()
+                assert b_deep.wait(10)
+
+        def hold_b(engine):
+            if engine.steps >= depth - 100 and not b_deep.is_set():
+                b_deep.set()
+                assert a_returned.wait(10)
+
+        results = {}
+
+        def run_a():
+            try:
+                results["a"] = engine_a.run(short_head)
+            except BaseException as exc:
+                results["a"] = exc
+            finally:
+                a_inside.set()
+                a_returned.set()
+
+        def run_b():
+            a_inside.wait(10)
+            try:
+                results["b"] = engine_b.run(deep_head)
+            except BaseException as exc:
+                results["b"] = exc
+            finally:
+                b_deep.set()
+
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1500)
+        try:
+            # The list is too deep for the caller's limit on its own.
+            with pytest.raises(RecursionError):
+                engine_factory(deep_count).run(deep_head)
+            engine_a = engine_factory(
+                deep_count, recursion_limit=20_000, step_hook=hold_a,
+                step_hook_interval=1,
+            )
+            engine_b = engine_factory(
+                deep_count, recursion_limit=20_000, step_hook=hold_b,
+                step_hook_interval=1,
+            )
+            threads = [threading.Thread(target=run_a),
+                       threading.Thread(target=run_b)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert results == {"a": 2, "b": depth}
+            assert sys.getrecursionlimit() == 1500
+        finally:
+            sys.setrecursionlimit(saved)
 
 
 class TestWriteLogHygiene:

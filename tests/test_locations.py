@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
-from repro import TrackedArray, TrackedObject
+from repro import ArgsKey, TrackedArray, TrackedList, TrackedObject, check
+from repro.core import MemoTable
 from repro.core.locations import (
     FieldLocation,
     IndexLocation,
@@ -127,3 +131,85 @@ class TestRangeLocation:
     def test_usable_in_sets(self):
         a = TrackedArray(4)
         assert len({RangeLocation(a, 0, 2), RangeLocation(a, 0, 2)}) == 1
+
+
+# Interning: a point location is its container's one instance per (class,
+# coordinate), so locations hash and compare by identity. ----------------------
+
+
+@check
+def slot_reader(i):
+    return True
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+class TestInterning:
+    def test_constructors_return_the_interned_instance(self):
+        n = Node(1)
+        lst = TrackedList([10, 20])
+        field = FieldLocation(n, "value")
+        slot = IndexLocation(lst, 1)
+        length = LengthLocation(lst)
+        assert field is n._ditto.locations["value"]
+        assert slot is lst._ditto.locations[1]
+        assert length is lst._ditto.locations["<len>"]
+        assert FieldLocation(n, "value") is field
+        assert IndexLocation(lst, 1) is slot
+        assert LengthLocation(lst) is length
+        # The write barrier's lookup finds the same instance.
+        assert n._ditto_location("value") is field
+        assert lst._ditto_location(1) is slot
+        assert lst._ditto_location("<len>") is length
+
+    def test_coordinate_of_another_class_is_never_returned(self):
+        arr = TrackedArray(3)
+        length = LengthLocation(arr)
+        twin = FieldLocation(arr, "<len>")
+        assert type(twin) is FieldLocation and twin is not length
+        assert arr._ditto.locations["<len>"] is length
+        # The twin is not interned: every construction is a new instance.
+        assert FieldLocation(arr, "<len>") is not twin
+        n = Node(1)
+        field = FieldLocation(n, "value")
+        other = IndexLocation(n, "value")
+        assert type(other) is IndexLocation and other is not field
+        assert n._ditto.locations["value"] is field
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_copies_intern_their_own_locations(self, how):
+        n = Node(1)
+        lst = TrackedList([1, 2])
+        field = FieldLocation(n, "value")
+        slot = IndexLocation(lst, 0)
+        length = LengthLocation(lst)
+        n2 = COPIES[how](n)
+        lst2 = COPIES[how](lst)
+        field2 = FieldLocation(n2, "value")
+        slot2 = IndexLocation(lst2, 0)
+        length2 = LengthLocation(lst2)
+        assert field2 is not field and field2.container is n2
+        assert slot2 is not slot and slot2.container is lst2
+        assert length2 is not length and length2.container is lst2
+        assert n2._ditto.locations == {"value": field2}
+        assert lst2._ditto.locations == {0: slot2, "<len>": length2}
+        assert n._ditto.locations == {"value": field}
+
+    def test_range_expansion_interns_nothing(self):
+        """Probing a range's slots slot by slot (the reverse map is larger
+        than the span) leaves unread slots without a location."""
+        table = MemoTable()
+        arr = TrackedArray(2100)
+        for index in range(1000, 2100):
+            node, _ = table.get_or_create(slot_reader, ArgsKey((index,)))
+            table.record_implicit(node, IndexLocation(arr, index))
+        assert table.reverse_map_size() > 1000
+        interned = len(arr._ditto.locations)
+        dirty = table.map_locations_to_nodes([RangeLocation(arr, 0, 1000)])
+        assert dirty == set()
+        assert len(arr._ditto.locations) == interned

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro import ArgsKey, TrackedArray, TrackedObject, check
 from repro.core import MemoTable
-from repro.core.locations import FieldLocation, RangeLocation
+from repro.core.locations import FieldLocation, IndexLocation, RangeLocation
 from repro.core.memo_table import _merge_intervals
 
 
@@ -314,3 +314,65 @@ class TestSnapshot:
         node.return_val = True
         snap = table.snapshot()
         assert snap == {("some_check", (7,)): True}
+
+
+class Box:
+    """A duck-typed container: no header, so its location constructors
+    return a fresh instance each time."""
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
+class TestDuckTypedContainers:
+    """The table canonicalizes the locations of header-less containers:
+    equal coordinates share one reverse-map key for as long as a node
+    reads it."""
+
+    def test_twins_share_one_reverse_map_key(self):
+        table = MemoTable()
+        box = Box()
+        a = _node(table, some_check, 1)
+        b = _node(table, some_check, 2)
+        first = FieldLocation(box, "value")
+        twin = FieldLocation(box, "value")
+        assert twin is not first
+        table.record_implicit(a, first)
+        table.record_implicit(a, twin)
+        table.record_implicit(b, twin)
+        assert a.implicits == {first} and b.implicits == {first}
+        assert table.reverse_map_size() == 1
+        assert table.nodes_reading(FieldLocation(box, "value")) == {a, b}
+        written = FieldLocation(box, "value")
+        assert table.map_locations_to_nodes([written]) == {a, b}
+
+    def test_range_over_a_duck_container(self):
+        table = MemoTable()
+        box = Box()
+        readers = {}
+        for index in (1, 4):
+            readers[index] = _node(table, some_check, index)
+            table.record_implicit(readers[index], IndexLocation(box, index))
+        for filler in range(10):
+            node = _node(table, other_check, filler)
+            table.record_implicit(node, FieldLocation(Box(), "value"))
+        dirty = table.map_locations_to_nodes([RangeLocation(box, 0, 3)])
+        assert dirty == {readers[1]}
+
+    def test_canonical_entry_goes_with_its_last_reader(self):
+        table = MemoTable()
+        box = Box()
+        a = _node(table, some_check, 1)
+        b = _node(table, some_check, 2)
+        table.record_implicit(a, FieldLocation(box, "value"))
+        table.record_implicit(b, FieldLocation(box, "value"))
+        table.clear_implicits(a)
+        assert len(table._duck) == 1
+        table.clear_implicits(b)
+        assert table._duck == {}
+        assert table.map_locations_to_nodes(
+            [FieldLocation(box, "value")]
+        ) == set()
+        table.record_implicit(a, FieldLocation(box, "value"))
+        table.clear()
+        assert table._duck == {}

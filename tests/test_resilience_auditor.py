@@ -21,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ArgsKey, GraphAuditError, TrackedObject, check
+from repro.core.locations import FieldLocation
 from repro.core.node import ComputationNode
 from repro.resilience import GraphAuditor
 
@@ -259,6 +260,32 @@ class TestCorruptionDetection:
         findings = report.by_rule("refcounts")
         assert findings
         assert "'value'" in str(findings[0])
+
+    def test_implicit_not_the_interned_location(self, warm_engine):
+        """One node's implicit argument and its reverse-map key swapped for
+        a twin of the interned location, count copied: the two maps still
+        mirror each other and every count still covers the graph, but the
+        barrier logs the interned instance, which no longer finds the
+        node, so the node would never be dirtied."""
+        engine, _ = warm_engine
+        table = engine.table
+        location, node = next(
+            (loc, next(iter(readers)))
+            for loc, readers in table.reverse_items()
+            if len(readers) == 1
+        )
+        assert type(location) is FieldLocation
+        twin = object.__new__(FieldLocation)
+        for name in ("container", "field", "refcount"):
+            setattr(twin, name, getattr(location, name))
+        node.implicits.remove(location)
+        node.implicits.add(twin)
+        table._reverse[twin] = table._reverse.pop(location)
+        report = engine.audit(raise_on_failure=False)
+        assert report.by_rule("reverse-map")
+        assert {finding.rule for finding in report.findings} == {
+            "reverse-map"
+        }
 
     def test_audit_raises_by_default(self, warm_engine):
         engine, _ = warm_engine
