@@ -35,7 +35,6 @@ in the check's call-graph closure.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
@@ -101,15 +100,6 @@ _NEVER_CAUGHT = (KeyboardInterrupt, SystemExit, GeneratorExit)
 #: exception is forwarded on").
 _MAX_RETRY_ROUNDS = 3
 
-#: Valid values of the ``strategy`` engine option (see :mod:`repro.derive`):
-#: ``"memo"`` always repairs through the memo graph; ``"derived"`` requires
-#: the fold classifier to accept the entry (raising otherwise); ``"hybrid"``
-#: picks derived maintenance where admissibility is proven and the memo
-#: graph everywhere else; ``"auto"`` reads ``DITTO_STRATEGY`` (defaulting
-#: to memo).
-_STRATEGY_CHOICES = ("memo", "derived", "hybrid", "auto")
-
-
 class _RecursionLimitScope:
     """The raised interpreter recursion limit, shared by every run in the
     process.
@@ -152,15 +142,6 @@ class _RecursionLimitScope:
 _RECURSION_SCOPE = _RecursionLimitScope()
 
 
-def _resolve_strategy(setting: str) -> str:
-    """Map the ``strategy`` option (plus ``DITTO_STRATEGY`` under
-    ``"auto"``) to the repair-strategy decision."""
-    if setting == "auto":
-        env = os.environ.get("DITTO_STRATEGY", "").strip().lower()
-        return env if env in ("memo", "derived", "hybrid") else "memo"
-    return setting
-
-
 class DittoEngine:
     """Automatic incrementalizer for one data structure invariant check."""
 
@@ -193,15 +174,9 @@ class DittoEngine:
         step_hook: Optional[Callable[["DittoEngine"], None]] = None,
         step_hook_interval: int = 128,
         profiler: Optional["RepairProfiler"] = None,
-        strategy: str = "auto",
     ):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if strategy not in _STRATEGY_CHOICES:
-            raise ValueError(
-                f"strategy must be one of {_STRATEGY_CHOICES}, got "
-                f"{strategy!r}"
-            )
         if paranoia < 0:
             raise ValueError(f"paranoia must be >= 0, got {paranoia!r}")
         if lint not in ("off", "warn", "strict"):
@@ -313,42 +288,11 @@ class DittoEngine:
         # is pre-bound by them and must exist before compile).
         self._stack: list[ComputationNode] = []
 
-        # Repair strategy (repro.derive): when the fold classifier accepts
-        # the entry under strategy "derived"/"hybrid", the engine bypasses
-        # the memo graph entirely and repairs through synthesized fold
-        # maintainers driven off the same write-log cursor.
-        #: The requested ``strategy`` option, unresolved.
-        self.strategy = strategy
-        #: ``"derived"`` or ``"memo"`` — what this engine actually runs.
-        self.active_strategy = "memo"
-        #: The :class:`~repro.derive.maintain.DerivedState` facade, or None
-        #: when the memo graph is the strategy.
-        self.derived = None
-        resolved = _resolve_strategy(strategy) if mode == "ditto" else "memo"
-        if resolved in ("derived", "hybrid"):
-            from ..derive import DerivedState, classify_entry
-
-            classification = classify_entry(self.entry)
-            if classification.ok:
-                self.derived = DerivedState(
-                    self.entry, classification, self.tracking, self.stats,
-                )
-                self.active_strategy = "derived"
-            elif resolved == "derived":
-                raise CheckRestrictionError(
-                    self.entry.name,
-                    [
-                        "strategy='derived' requires an admissible fold: "
-                        + (classification.why_not() or "no fold found")
-                    ],
-                )
-
         # Compile instrumented versions (Figure 3) of every check function.
-        # Scratch engines run the original source, and derived engines never
-        # call into the memo graph, so neither compiles: construction cost
-        # stays proportional to what the engine runs.
+        # Scratch engines run the original source, so they compile nothing:
+        # construction cost stays proportional to what the engine runs.
         self._compiled: dict[int, Any] = {}
-        if mode != "scratch" and self.derived is None:
+        if mode != "scratch":
             self._compiled.update(specialize_closure(self))
         self._root: Optional[ComputationNode] = None
         # Artificial caller pinning the root so it is never pruned.
@@ -520,10 +464,7 @@ class DittoEngine:
             if limit is not None:
                 _RECURSION_SCOPE.enter(limit)
             try:
-                if self.derived is not None:
-                    result = self._run_derived(args)
-                else:
-                    result = self._run_resilient(args)
+                result = self._run_resilient(args)
                 aborted = False
                 return result
             finally:
@@ -543,9 +484,7 @@ class DittoEngine:
     def run_with_report(self, *args: Any) -> RunReport:
         """Like :meth:`run`, also returning per-run statistics."""
         before = self.stats.snapshot()
-        incremental = self._root is not None or (
-            self.derived is not None and self.derived.is_bound
-        )
+        incremental = self._root is not None
         result = self.run(*args)
         return RunReport(
             result=result,
@@ -570,8 +509,6 @@ class DittoEngine:
         self._root = None
         self._to_propagate.clear()
         self._failed.clear()
-        if self.derived is not None:
-            self.derived.invalidate()
         # Discard pending log entries; the next run re-reads everything.
         self.tracking.write_log.consume(self._log_cid)
 
@@ -580,8 +517,6 @@ class DittoEngine:
         if self._closed:
             return
         self.invalidate()
-        if self.derived is not None:
-            self.derived.release()
         self.tracking.write_log.unregister(self._log_cid)
         self.tracking.unmonitor_fields(self.monitored_fields)
         self._closed = True
@@ -703,23 +638,6 @@ class DittoEngine:
         return instrumented_source(fn, uid_map)
 
     # Run orchestration (Figure 7's ``incrementalize``). ----------------------------
-
-    def _run_derived(self, args: tuple) -> Any:
-        """One run under the derived strategy: drain the write log, let the
-        fold maintainers apply deltas (or rebuild), and evaluate the
-        combiner.  The original check still computes every authoritative
-        value, so exceptions and result types match scratch bit-for-bit."""
-        self.stats.runs += 1
-        start = self._phase_begin("barrier_drain")
-        try:
-            pending = self.tracking.write_log.consume(self._log_cid)
-        finally:
-            self._phase_end("barrier_drain", start)
-        start = self._phase_begin("exec")
-        try:
-            return self.derived.run(args, pending)
-        finally:
-            self._phase_end("exec", start)
 
     def _run_resilient(self, args: tuple) -> Any:
         """Wrap one tracked run with the degradation ladder: cooldown

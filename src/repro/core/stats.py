@@ -123,14 +123,6 @@ class EngineStats:
     lint_runs: int = 0
     lint_errors: int = 0
     lint_warnings: int = 0
-    #: Derived-strategy accounting (:mod:`repro.derive`): total runs served
-    #: by fold maintainers, runs repaired purely by O(1) deltas, full-fold
-    #: rebuilds (bind, container rebinding, bulk mutations, exceptions),
-    #: and transactional invalidations of the derived state.
-    derived_runs: int = 0
-    derived_hits: int = 0
-    derived_full_folds: int = 0
-    derived_invalidations: int = 0
     #: Per-phase wall-clock accumulators (seconds over the engine's
     #: lifetime); one per entry of :data:`PHASES`.
     time_barrier_drain: float = 0.0
@@ -182,10 +174,6 @@ class EngineStats:
         "lint_runs",
         "lint_errors",
         "lint_warnings",
-        "derived_runs",
-        "derived_hits",
-        "derived_full_folds",
-        "derived_invalidations",
     )
 
     #: The wall-clock accumulators (floats; excluded from snapshots — a

@@ -446,8 +446,8 @@ class TrackedObject:
             location = FieldLocation(self, name)
         return location
 
-    # Coarse reference counts (derived maintainers, tests).  The memo table
-    # keeps the location-attributed counts inline instead; see
+    # Coarse reference counts (duck-typed container protocol, tests).  The
+    # memo table keeps the location-attributed counts inline instead; see
     # MemoTable.record_implicit. -------------------------------------------
 
     def _ditto_incref(self) -> None:

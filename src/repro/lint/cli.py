@@ -9,7 +9,7 @@ Examples::
     python -m repro.lint src/repro/structures examples
     python -m repro.lint src/repro/structures --format json > lint.json
     python -m repro.lint --rules         # print the rule catalogue
-    python -m repro.lint --explain DIT203   # one rule, in depth
+    python -m repro.lint --explain DIT003   # one rule, in depth
 """
 
 from __future__ import annotations

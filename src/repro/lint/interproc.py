@@ -352,21 +352,6 @@ def build_plan(entry: CheckFunction) -> EntryPlan:
                         file=hfile, line=hline, function=hname,
                     ))
 
-    # Strategy classification (DIT2xx): which checks in the closure admit
-    # derived fold maintenance, and why the rest do not.  Informational
-    # (note severity, DIT204 warns) — never gates registration.
-    from ..derive.classifier import entry_diagnostics  # lazy: import cycle
-
-    by_name = {fn.name: fn for fn in functions.values()}
-    for code, message, fname, line in entry_diagnostics(entry):
-        owner = by_name.get(fname)
-        dfile, dline = (
-            _position(owner.original) if owner is not None else (None, 0)
-        )
-        diagnostics.append(Diagnostic(
-            code, message, file=dfile, line=line or dline, function=fname,
-        ))
-
     # Verified closure: a helper is verified only if its own summary is
     # clean and every transitive callee is verified too.  Iterate to a
     # fixpoint over the (small) helper call graph.

@@ -461,34 +461,6 @@ def _analyze_helpers(program: Program, report: LintReport) -> None:
                 ))
 
 
-def _classify_module_folds(info: ModuleInfo, report: LintReport) -> None:
-    """Strategy classification (DIT2xx): judge every self-recursive check
-    against the linear-fold grammar of :mod:`repro.derive.classifier`.
-    Purely informational — an admissible fold gets a DIT201 note (the
-    derived strategy can maintain it in O(1) per mutation), a rejected one
-    gets the why-not as DIT202/DIT203/DIT204.  Non-recursive checks are
-    not fold candidates and produce nothing."""
-    from ..derive.classifier import FoldInfo, classify_fold
-
-    for name, fd in sorted(info.checks.items()):
-        verdict = classify_fold(fd)
-        if verdict is None:
-            continue
-        if isinstance(verdict, FoldInfo):
-            report.add(Diagnostic(
-                "DIT201",
-                f"admissible {verdict.describe()}; eligible for O(1) "
-                f"derived maintenance",
-                file=info.path, line=fd.lineno, function=name,
-            ))
-        else:
-            report.add(Diagnostic(
-                verdict.code, verdict.message,
-                file=info.path, line=verdict.line or fd.lineno,
-                function=name,
-            ))
-
-
 def _analyze_registered_methods(program: Program, report: LintReport) -> None:
     """DIT006/DIT008 over ``register_pure_method`` registrations on tracked
     classes — the static mirror of the live plan's method-summary pass: a
@@ -602,7 +574,6 @@ def lint_paths(paths: list[str]) -> LintReport:
     program = Program(list(modules.values()))
     for info in modules.values():
         _analyze_module_checks(program, info, report)
-        _classify_module_folds(info, report)
     _analyze_helpers(program, report)
     _analyze_registered_methods(program, report)
     for info in modules.values():

@@ -1,7 +1,8 @@
 """Rule catalogue, diagnostics, and report model for ``repro.lint``.
 
 Rule codes are stable API: tools (CI gates, ``# noqa:`` suppressions,
-editor integrations) key on them, so codes are never renumbered or reused.
+editor integrations) key on them, so codes are never renumbered or reused;
+retired codes are listed in ``docs/api.md``.
 The ``DIT0xx`` block covers the *check side* — interprocedural
 admissibility of ``@check`` functions and everything they transitively
 call (paper §3.5, Definition 2).  The ``DIT1xx`` block covers the *mutator
@@ -9,19 +10,12 @@ side* — stores that would evade the write barriers of §4, which the
 dynamic system can only catch probabilistically (paranoia re-execution or
 the QA fuzzer happening to hit the divergence).
 
-The ``DIT2xx`` block covers *strategy classification* — whether a check
-admits the derived (fold-maintenance) strategy of :mod:`repro.derive`,
-and, when it does not, why.  These findings never indicate a soundness
-problem: a rejected check simply stays on the memo-graph path.
-
 Severities: ``error`` findings are soundness holes — the incremental
 result can silently diverge from a from-scratch execution; the CLI exits
 non-zero and strict engine registration refuses the check.  ``warning``
 findings are unprovable-but-plausible constructs the analyzer cannot
 verify (unresolvable call targets, dynamic attribute names); they are
-reported but do not gate.  ``note`` findings are informational
-classification results (the DIT2xx family); they never affect exit codes,
-even under ``--strict-warnings``.
+reported but do not gate.
 """
 
 from __future__ import annotations
@@ -32,9 +26,8 @@ from typing import Iterable, Iterator
 
 ERROR = "error"
 WARNING = "warning"
-NOTE = "note"
 
-_SEVERITY_ORDER = {ERROR: 0, WARNING: 1, NOTE: 2}
+_SEVERITY_ORDER = {ERROR: 0, WARNING: 1}
 
 
 @dataclass(frozen=True)
@@ -52,7 +45,7 @@ class Rule:
 
 
 #: The shipped rule catalogue, keyed by code.  See ``docs/architecture.md``
-#: §10 and §14 for the full rationale of each rule.
+#: §10 for the full rationale of each rule.
 RULES: dict[str, Rule] = {
     rule.code: rule
     for rule in (
@@ -277,106 +270,6 @@ RULES: dict[str, Rule] = {
                 "        self.items = []  # 'items' is monitored"
             ),
         ),
-        # Strategy classification: derived-fold admissibility (DIT2xx). ------
-        Rule(
-            "DIT201",
-            "fold-admissible",
-            NOTE,
-            "check is an admissible linear fold; eligible for O(1) "
-            "derived maintenance",
-            rationale=(
-                "The check matches the linear-fold grammar: a single "
-                "self-call stepping i+1 over one tracked container, with "
-                "a commutative-monoid combine (sum, conjunction, min/max "
-                "via a comparison-select).  The derived strategy "
-                "(strategy='derived'/'hybrid', repro.derive) maintains "
-                "its value with an O(1) delta per point mutation instead "
-                "of re-running the fold."
-            ),
-            example=(
-                "@check\n"
-                "def total(v, i):\n"
-                "    if i >= len(v):\n"
-                "        return 0\n"
-                "    x = v[i]\n"
-                "    rest = total(v, i + 1)\n"
-                "    return x + rest"
-            ),
-        ),
-        Rule(
-            "DIT202",
-            "fold-inadmissible",
-            NOTE,
-            "self-recursive check does not match the linear-fold grammar",
-            rationale=(
-                "The check recurses but falls outside the maintainable "
-                "shape: tree recursion, a pruned traversal (an early "
-                "return between the base guard and the self-call), an "
-                "order-dependent or non-monoid combine, or a non-affine "
-                "index.  Such folds depend on element order or structure "
-                "in ways a per-element delta cannot repair, so the check "
-                "stays on the memo-graph path — this is a classification "
-                "note, not a defect."
-            ),
-            example=(
-                "@check\n"
-                "def digits(v, i):\n"
-                "    if i >= len(v):\n"
-                "        return 0\n"
-                "    rest = digits(v, i + 1)\n"
-                "    return rest * 10 + v[i]  # order-dependent combine"
-            ),
-        ),
-        Rule(
-            "DIT203",
-            "fold-opaque-call",
-            NOTE,
-            "fold body has calls or reads the maintainer cannot attribute "
-            "to container slots",
-            rationale=(
-                "Derived maintenance re-evaluates one element's "
-                "contribution when that element changes, which requires "
-                "every read in the per-element term to be a function of "
-                "the fold index (container[a*i+b]).  Calls to other "
-                "functions, pointer chases (e.next), or reads of foreign "
-                "state cannot be re-located per slot, so the delta rule "
-                "cannot be synthesized."
-            ),
-            example=(
-                "@check\n"
-                "def chained(t, i):\n"
-                "    if i >= len(t.buckets):\n"
-                "        return True\n"
-                "    ok = scan_chain(t.buckets[i])  # opaque call\n"
-                "    rest = chained(t, i + 1)\n"
-                "    return ok and rest"
-            ),
-        ),
-        Rule(
-            "DIT204",
-            "fold-float-sum",
-            WARNING,
-            "float summation is not associative; derived maintenance "
-            "would change the rounding",
-            rationale=(
-                "The derived strategy reassociates the fold (subtract "
-                "old contribution, add new).  Integer monoids are exact "
-                "under reassociation; IEEE-754 addition is not, so a "
-                "derived float sum can differ from the from-scratch "
-                "value in the last ulp — violating the bit-identical "
-                "parity the QA oracle enforces.  The check is kept on "
-                "the memo path; restructure to integers (fixed-point) "
-                "for O(1) maintenance."
-            ),
-            example=(
-                "@check\n"
-                "def mean_part(v, i):\n"
-                "    if i >= len(v):\n"
-                "        return 0.0          # float identity\n"
-                "    rest = mean_part(v, i + 1)\n"
-                "    return v[i] * 0.5 + rest"
-            ),
-        ),
     )
 }
 
@@ -447,10 +340,6 @@ class LintReport:
         return [d for d in self.diagnostics if d.severity == WARNING]
 
     @property
-    def notes(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == NOTE]
-
-    @property
     def ok(self) -> bool:
         """True when no error-severity findings are present."""
         return not self.errors
@@ -478,12 +367,9 @@ class LintReport:
 
     def format_text(self) -> str:
         lines = [d.format() for d in self.sorted()]
-        summary = (
+        lines.append(
             f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)"
         )
-        if self.notes:
-            summary += f", {len(self.notes)} note(s)"
-        lines.append(summary)
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -494,7 +380,6 @@ class LintReport:
                 "summary": {
                     "errors": len(self.errors),
                     "warnings": len(self.warnings),
-                    "notes": len(self.notes),
                 },
                 "diagnostics": [d.to_dict() for d in self.sorted()],
             },

@@ -35,13 +35,8 @@ from typing import Any, Optional
 #: records (matched against the dotted leaf path, case-insensitive).
 LOWER_BETTER = ("_ms", "_s", "seconds", "p50", "p99")
 
-#: Exact leaf names treated as higher-is-better.  ``steady_speedup`` is
-#: BENCH_derived.json's headline (derived-maintenance repair vs memo);
-#: its per-size ``speedup`` rows live inside a list and are not walked.
-HIGHER_BETTER = (
-    "speedup", "steady_speedup", "append_ratio", "logged_ratio",
-    "shed_rate",
-)
+#: Exact leaf names treated as higher-is-better.
+HIGHER_BETTER = ("speedup", "append_ratio", "logged_ratio", "shed_rate")
 
 #: Leaf-path fragments never gated: configuration echoes, counts whose
 #: "better" direction is ambiguous, and setup/wall timings dominated by

@@ -55,13 +55,11 @@ from ..structures import (
     dll_invariant,
     hash_table_invariant,
     heap_invariant,
-    heap_min,
     heaps_disjoint,
     is_ordered,
     rbt_invariant,
     rope_invariant,
     skip_list_invariant,
-    table_occupancy,
     vector_digest,
 )
 from .trace import CHECK_OP, Op
@@ -305,47 +303,6 @@ class BinaryHeapModel(StructureModel):
                 return None
             return heap.corrupt(_mod_index(op.args[0], len(heap)), op.args[1])
         self._unknown(op)
-
-
-class HeapMinModel(StructureModel):
-    """The binary heap again, but under its *derived-admissible* entry
-    point: ``heap_min`` is a min fold over the backing array, so this
-    model is what the strategy-parity corpus replays in ``derived`` /
-    ``hybrid`` oracle modes.  Same mutation surface as
-    :class:`BinaryHeapModel` — pushes, pops (growth included), and raw
-    corruption — only the invariant differs."""
-
-    name = "heap_min"
-    entry = heap_min
-    specs = BinaryHeapModel.specs
-
-    def fresh(self) -> BinaryHeap:
-        return BinaryHeap(capacity=4)
-
-    def check_args(self, heap: BinaryHeap) -> tuple:
-        return (heap,)
-
-    apply = BinaryHeapModel.apply
-
-
-class TableOccupancyModel(StructureModel):
-    """The hash table under its derived-admissible entry point:
-    ``table_occupancy`` counts non-empty bucket heads, a sum fold over
-    ``table.buckets`` (the chain-walking ``hash_table_invariant`` is
-    DIT203-rejected and stays memo-only).  Same mutation surface as
-    :class:`HashTableModel`, rehashes and corruption included."""
-
-    name = "table_occupancy"
-    entry = table_occupancy
-    specs = HashTableModel.specs
-
-    def fresh(self) -> HashTable:
-        return HashTable(capacity=4)
-
-    def check_args(self, table: HashTable) -> tuple:
-        return (table,)
-
-    apply = HashTableModel.apply
 
 
 class BTreeModel(StructureModel):
@@ -651,8 +608,6 @@ MODELS: dict[str, StructureModel] = {
         RedBlackTreeModel(),
         AVLTreeModel(),
         BinaryHeapModel(),
-        HeapMinModel(),
-        TableOccupancyModel(),
         BTreeModel(),
         DisjointnessModel(),
         SkipListModel(),

@@ -38,21 +38,6 @@ from .trace import CHECK, FAULT, Op, Trace
 #: Engine modes the oracle compares, truth source first.
 DEFAULT_MODES = ("scratch", "ditto", "naive")
 
-#: Strategy modes (:mod:`repro.derive`): ``derived`` pins the fold-
-#: maintenance strategy on (construction fails unless the entry
-#: classifies), ``hybrid`` lets the engine pick per entry.  Both run in
-#: engine mode ``ditto``.  The plain ``ditto``/``naive`` modes pin
-#: ``strategy="memo"`` so the differential stays memo-vs-derived even
-#: when ``DITTO_STRATEGY`` is set in the environment.
-_STRATEGY_MODES = {"derived": "derived", "hybrid": "hybrid"}
-
-
-def _engine_config(mode: str) -> tuple[str, str]:
-    """Split an oracle mode into ``(engine_mode, strategy)``."""
-    if mode in _STRATEGY_MODES:
-        return "ditto", _STRATEGY_MODES[mode]
-    return mode, "memo"
-
 
 @dataclass
 class Divergence:
@@ -164,13 +149,11 @@ class Oracle:
                 # scratch emits one exec span per run, which would drown
                 # the repair spans the trace exists to show.
                 sink = self.trace_sink if mode != "scratch" else None
-                engine_mode, strategy = _engine_config(mode)
                 engines[mode] = DittoEngine(
                     self.model.entry,
-                    mode=engine_mode,
+                    mode=mode,
                     recursion_limit=None,
                     trace_sink=sink,
-                    strategy=strategy,
                 )
             structure = self.model.fresh()
             for index, op in enumerate(trace.ops):
@@ -286,14 +269,9 @@ class Oracle:
         report: OracleReport,
     ) -> None:
         kind, amount = op.args[0], int(op.args[1])
-        target = None
-        for base in ("ditto", "naive"):
-            for mode, engine in engines.items():
-                if _engine_config(mode)[0] == base:
-                    target = engine
-                    break
-            if target is not None:
-                break
+        target = engines.get("ditto")
+        if target is None:
+            target = engines.get("naive")
         if target is None:
             return
         if kind == "drop_writes":

@@ -11,11 +11,9 @@ from .ordered_list import IntListElem, OrderedIntList, is_ordered
 from .hash_table import (
     HashElement,
     HashTable,
-    bucket_occupancy_from,
     check_hash_buckets,
     check_hash_elements,
     hash_table_invariant,
-    table_occupancy,
 )
 from .red_black_tree import (
     BLACK,
@@ -35,19 +33,11 @@ from .avl_tree import (
     avl_is_ordered,
     check_avl_height,
 )
-from .binary_heap import (
-    BinaryHeap,
-    check_heap_order,
-    heap_invariant,
-    heap_min,
-    heap_min_from,
-)
+from .binary_heap import BinaryHeap, check_heap_order, heap_invariant
 from .int_vector import (
     IntVector,
     vector_checksum_from,
     vector_digest,
-    vector_sum,
-    vector_sum_from,
     vector_tail,
 )
 from .btree import BTree, BTreeNode, btree_invariant
@@ -85,7 +75,6 @@ __all__ = [
     "btree_invariant",
     "check_avl_height",
     "check_black_depth",
-    "bucket_occupancy_from",
     "check_disjoint_from",
     "DisjointHeapPair",
     "heaps_disjoint",
@@ -100,8 +89,6 @@ __all__ = [
     "hash_table_invariant",
     "HashTable",
     "heap_invariant",
-    "heap_min",
-    "heap_min_from",
     "IntListElem",
     "IntVector",
     "is_ordered",
@@ -121,10 +108,7 @@ __all__ = [
     "SkipList",
     "skip_list_invariant",
     "SkipNode",
-    "table_occupancy",
     "vector_checksum_from",
     "vector_digest",
-    "vector_sum",
-    "vector_sum_from",
     "vector_tail",
 ]

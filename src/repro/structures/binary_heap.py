@@ -55,31 +55,6 @@ def heap_invariant(h):
     return check_heap_order(h, 0)
 
 
-@check
-def heap_min_from(h, i):
-    """Smallest occupied slot value in ``i..``, ``2**31 - 1`` when none.
-
-    A linear min fold over the backing array (``check_heap_order`` is
-    tree-shaped *and* prunes below empty slots, so it stays on the memo
-    path; this check is the derived-strategy companion): empty slots pass
-    the running minimum through, occupied slots clamp it down."""
-    arr = h.items
-    if i >= len(arr):
-        return 2147483647
-    x = arr[i]
-    rest = heap_min_from(h, i + 1)
-    if x is None:
-        return rest
-    return x if x < rest else rest
-
-
-@check
-def heap_min(h):
-    """Entry point: the heap's minimum occupied value (the root, whenever
-    ``heap_invariant`` holds — corruption can make them disagree)."""
-    return heap_min_from(h, 0)
-
-
 class BinaryHeap(TrackedObject):
     """A min-heap of comparable values."""
 

@@ -95,31 +95,6 @@ def hash_table_invariant(table):
     return check_hash_buckets(table, 0)
 
 
-@check
-def bucket_occupancy_from(table, i):
-    """Number of non-empty bucket heads in slots ``i..``.
-
-    The derived-strategy companion to :func:`check_hash_buckets`: that
-    fold chases ``e.next`` chains (pointer reads the maintainer cannot
-    re-locate per slot, rejected as DIT203), whereas this count fold
-    reads exactly ``buckets[i]`` per level and so admits O(1)
-    maintenance."""
-    buckets = table.buckets
-    if i >= len(buckets):
-        return 0
-    x = buckets[i]
-    rest = bucket_occupancy_from(table, i + 1)
-    if x is None:
-        return rest
-    return 1 + rest
-
-
-@check
-def table_occupancy(table):
-    """Entry point: how many buckets have at least one element."""
-    return bucket_occupancy_from(table, 0)
-
-
 class HashTable(TrackedObject):
     """A key → value map using chaining, rehashing at 0.75 load factor."""
 

@@ -56,24 +56,6 @@ def vector_digest(v):
     return s * 31 + t
 
 
-@check
-def vector_sum_from(v, i):
-    """Plain element sum of slots ``i..`` — the textbook admissible fold
-    (sum monoid, identity 0, stencil ``v[i]``): the derived strategy
-    maintains it in O(1) per mutation."""
-    if i >= len(v):
-        return 0
-    x = v[i]
-    rest = vector_sum_from(v, i + 1)
-    return x + rest
-
-
-@check
-def vector_sum(v):
-    """Entry point: the element sum, started at slot 0."""
-    return vector_sum_from(v, 0)
-
-
 class IntVector(TrackedList):
     """A growable sequence of small ints.
 

@@ -7,15 +7,10 @@ fields); engines created inside tests are closed automatically via the
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 
 from repro import DittoEngine, reset_tracking
 from repro.obs import RingBufferSink
-
-# Recursive checks on sizeable structures need stack headroom.
-sys.setrecursionlimit(200_000)
 
 
 def pytest_addoption(parser):
@@ -61,9 +56,9 @@ def engine_factory(request):
     sink_kind = request.config.getoption("--trace-sink")
 
     def make(entry, **kwargs) -> DittoEngine:
-        # The test session already runs with a raised recursion limit, and
-        # engine-managed limits interact poorly with hypothesis's stack
-        # bookkeeping — disable unless a test opts in.
+        # Tests run under the interpreter's own recursion limit, as users
+        # do.  Engine-managed limits interact poorly with hypothesis's
+        # stack bookkeeping, so they stay off unless a test opts in.
         kwargs.setdefault("recursion_limit", None)
         if sink_kind == "ring" and "trace_sink" not in kwargs:
             kwargs["trace_sink"] = RingBufferSink()

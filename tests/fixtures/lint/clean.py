@@ -1,11 +1,8 @@
-"""Lint fixture: fully admissible structure + check.  Expect no gating
-findings (errors or warnings).
+"""Lint fixture: fully admissible structure + check.  Expect NO findings.
 
 Exercises every shape the analyzer must accept: a tracked class whose
 mutators go through the barrier, a registered helper with only coverable
-depth-1 reads, a recursive check, and an immutable module constant.  The
-recursive check does receive a DIT2xx strategy-classification *note*
-(pointer recursion is not an index fold), which is informational.
+depth-1 reads, a recursive check, and an immutable module constant.
 """
 
 from repro import TrackedObject, check, register_pure_helper

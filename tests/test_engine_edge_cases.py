@@ -16,6 +16,7 @@ from repro import (
     tracking_state,
 )
 from repro.bench.runner import run_with_big_stack
+from repro.structures.ordered_list import IntListElem, is_ordered
 
 
 class Elem(TrackedObject):
@@ -215,6 +216,51 @@ class TestRecursionLimitScope:
                 thread.join(30)
             assert results == {"a": 2, "b": depth}
             assert sys.getrecursionlimit() == 1500
+        finally:
+            sys.setrecursionlimit(saved)
+
+
+class TestDepthParity:
+    def test_engines_check_the_longest_list_scratch_checks(
+        self, engine_factory
+    ):
+        """At the caller's recursion limit and with no observer armed, the
+        ditto and naive engines check the longest list the uninstrumented
+        check handles from scratch: the compiled closures spend fewer
+        recursion counts per element than the ``@check`` call path."""
+
+        def chain(length):
+            head = None
+            for value in range(length, 0, -1):
+                head = IntListElem(value, head)
+            return head
+
+        def checks(engine, head):
+            try:
+                return engine.run(head) is True
+            except RecursionError:
+                return False
+
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            scratch = engine_factory(
+                is_ordered, mode="scratch", trace_sink=None
+            )
+            # Bisect: scratch checks a list of length lo, not one of hi.
+            lo, hi = 1, 1000
+            assert checks(scratch, chain(lo))
+            assert not checks(scratch, chain(hi))
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if checks(scratch, chain(mid)):
+                    lo = mid
+                else:
+                    hi = mid
+            head = chain(lo)
+            for mode in ("ditto", "naive"):
+                engine = engine_factory(is_ordered, mode=mode, trace_sink=None)
+                assert checks(engine, head), (mode, lo)
         finally:
             sys.setrecursionlimit(saved)
 

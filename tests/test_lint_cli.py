@@ -115,9 +115,9 @@ def test_injected_bypass_in_structure_copy(tmp_path):
 
 
 def test_explain_known_rule(capsys):
-    assert main(["--explain", "DIT203"]) == 0
+    assert main(["--explain", "DIT003"]) == 0
     out = capsys.readouterr().out
-    assert "DIT203" in out and "fold-opaque-call" in out
+    assert "DIT003" in out and "untracked-helper-read" in out
     assert "Example:" in out
 
 
@@ -147,6 +147,6 @@ def test_explain_covers_full_catalogue(capsys):
 
 def test_explain_needs_no_paths(capsys):
     """--explain is standalone: no paths required, unlike a lint run."""
-    assert main(["--explain", "DIT201"]) == 0
+    assert main(["--explain", "DIT001"]) == 0
     capsys.readouterr()
     assert main([]) == 2  # whereas a pathless lint run is a usage error

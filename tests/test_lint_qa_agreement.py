@@ -21,7 +21,6 @@ import os
 
 import pytest
 
-from repro import DittoEngine
 from repro.lint.modlint import lint_paths
 from repro.qa.generator import TraceGenerator
 from repro.qa.oracle import Oracle
@@ -234,60 +233,3 @@ def test_suppressed_lint_still_diverges(tmp_path, engine_factory):
     assert engine.run(lst.head) is True  # still stale
     assert is_ordered.original(lst.head) is False
 
-
-# DIT2xx agreement: classification verdicts and the strategy axis. -------------
-
-
-def test_dit2xx_rejected_check_never_runs_derived():
-    """Agreement, strategy edition: a check the lint layer rejects for
-    derived maintenance (DIT202/DIT203) is exactly a check the hybrid
-    engine keeps on the memo path, and the strict derived strategy
-    refuses outright.  A rejected check can never silently run derived."""
-    from repro.core.errors import CheckRestrictionError
-    from repro.derive import classify_entry
-    from repro.lint import build_plan
-    from repro.structures import hash_table_invariant, heap_invariant
-
-    for entry in (heap_invariant, hash_table_invariant, is_ordered):
-        classification = classify_entry(entry)
-        assert not classification.ok
-
-        plan = build_plan(entry)
-        codes = {d.code for d in plan.diagnostics}
-        assert codes & {"DIT202", "DIT203"}
-        assert "DIT201" not in codes
-
-        engine = DittoEngine(entry, strategy="hybrid")
-        try:
-            assert engine.active_strategy == "memo"
-            assert engine.derived is None
-        finally:
-            engine.close()
-
-        with pytest.raises(CheckRestrictionError):
-            DittoEngine(entry, strategy="derived")
-
-
-def test_dit201_accepted_check_runs_derived_and_agrees():
-    """The flip side: a DIT201-noted entry actually activates the derived
-    strategy under hybrid, and its maintained value stays bit-identical
-    to scratch execution across point mutations."""
-    from repro.lint import build_plan
-    from repro.structures import IntVector, vector_sum
-
-    plan = build_plan(vector_sum)
-    assert "DIT201" in {d.code for d in plan.diagnostics}
-    # Informational only: the note does not gate registration.
-    assert plan.ok
-
-    engine = DittoEngine(vector_sum, strategy="hybrid")
-    try:
-        assert engine.active_strategy == "derived"
-        vec = IntVector(range(30))
-        assert engine.run(vec) == vector_sum.original(vec)
-        vec[7] = -100
-        vec.append(41)
-        vec.pop()
-        assert engine.run(vec) == vector_sum.original(vec)
-    finally:
-        engine.close()

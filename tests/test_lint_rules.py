@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-from repro.lint import ERROR, NOTE, RULES, WARNING, Diagnostic, LintReport
+from repro.lint import ERROR, RULES, WARNING, Diagnostic, LintReport
 from repro.lint.modlint import lint_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
@@ -35,13 +35,13 @@ def test_rule_catalogue_is_stable():
     assert set(RULES) == {
         "DIT001", "DIT002", "DIT003", "DIT004", "DIT005", "DIT006",
         "DIT007", "DIT008", "DIT101", "DIT102", "DIT103", "DIT104",
-        "DIT105", "DIT201", "DIT202", "DIT203", "DIT204",
+        "DIT105",
     }
     for code, rule in RULES.items():
         assert rule.code == code
-        assert rule.severity in (ERROR, WARNING, NOTE)
+        assert rule.severity in (ERROR, WARNING)
         assert rule.name and rule.summary
-        # --explain needs depth for every rule, not just the new family.
+        # --explain needs depth for every rule.
         assert rule.rationale and rule.example
 
 
@@ -61,11 +61,7 @@ def test_diagnostic_severity_override():
 
 def test_clean_fixture_has_no_findings():
     report = lint_fixture("clean.py")
-    # Gating-clean: no soundness findings.  The recursive check does get a
-    # DIT2xx strategy-classification note (pointer recursion is not an
-    # index fold), which is informational and never gates.
-    assert report.errors == [] and report.warnings == []
-    assert {d.code for d in report.notes} <= {"DIT201", "DIT202", "DIT203"}
+    assert report.diagnostics == []
     assert report.ok
     assert report.files_linted == 1
     assert report.exit_code() == 0
@@ -377,17 +373,11 @@ def test_report_sorting_and_counts():
     assert ordered == sorted(
         ordered, key=lambda d: (d.file or "", d.line)
     )
-    assert (
-        len(report.errors) + len(report.warnings) + len(report.notes)
-        == len(report)
-    )
+    assert len(report.errors) + len(report.warnings) == len(report)
     text = report.format_text()
-    summary = (
+    assert text.endswith(
         f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)"
     )
-    if report.notes:
-        summary += f", {len(report.notes)} note(s)"
-    assert text.endswith(summary)
 
 
 def test_exit_code_strict_warnings():
@@ -408,65 +398,3 @@ def test_to_json_roundtrip():
     codes = {d["code"] for d in payload["diagnostics"]}
     assert "DIT001" in codes
 
-
-# DIT2xx — derived-strategy fold classification. -------------------------------
-
-
-def test_dit201_admissible_fold_noted():
-    report = lint_fixture("fold_admissible.py")
-    found = diags(report, "DIT201")
-    assert len(found) == 1
-    assert found[0].severity == NOTE
-    assert found[0].function == "running_total"
-    assert "sum fold" in found[0].message
-    assert "O(1)" in found[0].message
-    # Positive classification only: no rejection codes.
-    assert not diags(report, "DIT202")
-    assert not diags(report, "DIT203")
-    assert not diags(report, "DIT204")
-    # Notes never gate, even under --strict-warnings.
-    assert report.exit_code(strict_warnings=True) == 0
-
-
-def test_dit202_order_dependent_fold_rejected():
-    report = lint_fixture("fold_order_dependent.py")
-    found = diags(report, "DIT202")
-    assert len(found) == 1
-    assert found[0].severity == NOTE
-    assert found[0].function == "digit_value"
-    # The why-not names the offending combine, not a generic shrug.
-    assert found[0].message
-    assert not diags(report, "DIT201")
-    assert report.exit_code(strict_warnings=True) == 0
-
-
-def test_dit203_opaque_helper_call_rejected():
-    report = lint_fixture("fold_opaque_helper.py")
-    found = diags(report, "DIT203")
-    assert len(found) == 1
-    assert found[0].severity == NOTE
-    assert found[0].function == "all_chains_ok"
-    assert not diags(report, "DIT201")
-    # The helper itself is registered pure with depth-1 reads: the
-    # rejection is strategy classification, not a soundness finding.
-    assert report.errors == []
-
-
-def test_dit204_float_sum_warned():
-    report = lint_fixture("fold_float_sum.py")
-    found = diags(report, "DIT204")
-    assert len(found) == 1
-    assert found[0].severity == WARNING
-    assert found[0].function == "half_weight_sum"
-    assert not diags(report, "DIT201")
-    # A genuine warning: gates only under --strict-warnings.
-    assert report.exit_code() == 0
-    assert report.exit_code(strict_warnings=True) == 1
-
-
-def test_dit2xx_nonrecursive_checks_are_not_classified():
-    """A check with no self-call is not a fold candidate: the classifier
-    stays silent instead of rejecting it (negative for the family)."""
-    report = lint_fixture("noqa_suppressed.py")
-    for code in ("DIT201", "DIT202", "DIT203", "DIT204"):
-        assert not diags(report, code)

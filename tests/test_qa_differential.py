@@ -81,81 +81,6 @@ class TestFixedSeedCorpus:
             ), f"{name} corpus never corrupts"
 
 
-#: Structures whose entry invariant the fold classifier admits (DIT201):
-#: the derived strategy actively maintains these, so the parity corpus
-#: below is exercising synthesized delta rules, not a silent memo
-#: fallback.
-DERIVED_STRUCTURES = ("int_vector", "heap_min", "table_occupancy")
-
-#: Scratch ground truth against every strategy at once: the classic memo
-#: graph, strict derived maintenance, and the per-check hybrid picker.
-STRATEGY_MODES = ("scratch", "ditto", "derived", "hybrid")
-
-
-class TestStrategyParity:
-    """The strategy axis obeys the same equivalence contract as the memo
-    engines: `derived` and `hybrid` oracle modes ride the differential
-    harness unchanged and must agree with from-scratch execution."""
-
-    @pytest.mark.parametrize("structure", DERIVED_STRUCTURES)
-    @pytest.mark.parametrize("seed", CORPUS_SEEDS)
-    def test_derived_corpus_no_divergence(self, structure, seed):
-        trace = TraceGenerator(
-            structure, seed=seed, op_count=CORPUS_OPS
-        ).generate()
-        report = Oracle(structure, modes=STRATEGY_MODES).run(trace)
-        assert report.ok, "\n".join(str(d) for d in report.divergences)
-        assert report.checks_run > 0
-
-    @pytest.mark.parametrize("structure", model_names())
-    def test_hybrid_is_total_over_every_model(self, structure):
-        """Hybrid must be safe to enable everywhere: on DIT2xx-rejected
-        entries it silently falls back to the memo path, on DIT201
-        entries it maintains — either way it matches scratch."""
-        trace = TraceGenerator(structure, seed=0, op_count=120).generate()
-        report = Oracle(structure, modes=("scratch", "hybrid")).run(trace)
-        assert report.ok, "\n".join(str(d) for d in report.divergences)
-        assert report.checks_run > 0
-
-    def test_derived_activates_only_where_classified(self):
-        """The hybrid cells above are meaningful because activation
-        differs: classified structures run derived, rejected ones memo."""
-        from repro import DittoEngine
-
-        for name in DERIVED_STRUCTURES:
-            with DittoEngine(get_model(name).entry, strategy="hybrid") as e:
-                assert e.active_strategy == "derived", name
-        with DittoEngine(
-            get_model("binary_heap").entry, strategy="hybrid"
-        ) as e:
-            assert e.active_strategy == "memo"
-
-    def test_dropped_write_is_caught_in_derived_mode(self):
-        """Harness sensitivity, strategy edition: a dropped write barrier
-        leaves the maintained fold stale, and the differential oracle
-        catches the divergence instead of papering over it."""
-        trace = Trace(
-            "int_vector",
-            0,
-            [
-                Op("append", (5,)),
-                Op("append", (7,)),
-                Op("append", (9,)),
-                CHECK_OP,
-                fault_op("drop_writes", 1),
-                Op("corrupt", (1, -40)),
-                CHECK_OP,
-            ],
-        )
-        report = Oracle("int_vector", modes=("scratch", "derived")).run(
-            trace
-        )
-        assert not report.ok
-        assert report.faults_armed == 1
-        divergence = report.divergences[0]
-        assert divergence.kind == "return_mismatch"
-
-
 def _drill_trace(padding_seed: int = 3) -> Trace:
     """A trace that provably diverges: random padding, then drain the
     list to a known state, build the graph, drop one write barrier, and

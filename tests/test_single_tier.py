@@ -17,6 +17,7 @@ import pytest
 from repro import DittoEngine
 from repro.apps.jso import jso_invariant
 from repro.apps.netcols import netcols_invariant
+from repro.structures import IntVector, vector_digest
 from repro.structures.hash_table import hash_table_invariant
 from repro.structures.ordered_list import is_ordered
 from repro.structures.red_black_tree import rbt_invariant
@@ -66,6 +67,20 @@ def test_every_engine_compiles_the_one_tier(mode, monkeypatch):
         engine.close()
     with pytest.raises(TypeError):
         DittoEngine(rbt_invariant, specialize="off")
+
+
+def test_every_engine_repairs_through_the_memo_graph(monkeypatch):
+    # The retired repair-strategy switch no longer selects anything.
+    monkeypatch.setenv("DITTO_STRATEGY", "derived")
+    vec = IntVector(range(20))
+    engine = DittoEngine(vector_digest, recursion_limit=None)
+    try:
+        assert engine.run(vec) == vector_digest.original(vec)
+        assert engine.graph_size > 0
+    finally:
+        engine.close()
+    with pytest.raises(TypeError):
+        DittoEngine(vector_digest, strategy="memo")
 
 
 @pytest.mark.parametrize("name", sorted(PAPER_CHECKS))
