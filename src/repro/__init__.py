@@ -20,12 +20,6 @@ Public API in three layers:
 * ``repro.lint`` — whole-program soundness analysis: interprocedural
   check admissibility and write-barrier bypass detection
   (``python -m repro.lint``, ``engine.lint()``, ``lint_paths``).
-* ``repro.serving`` — a hardened multi-tenant front end: an
-  ``EnginePool`` hosting many isolated engines (one private
-  ``TrackingState`` each) behind striped locks, with bounded admission,
-  per-tenant circuit breakers, and cooperative soft deadlines.  Imported
-  on demand (``from repro.serving import EnginePool``), not re-exported
-  here.
 
 Quickstart::
 
@@ -53,7 +47,6 @@ Quickstart::
 
 from .core import (
     ArgsKey,
-    CheckDeadlineExceeded,
     CheckRestrictionError,
     ComputationNode,
     CyclicCheckError,
@@ -69,7 +62,6 @@ from .core import (
     ResultTypeError,
     RunReport,
     StepLimitExceeded,
-    TenantIsolationError,
     TrackedArray,
     TrackedList,
     TrackedObject,
@@ -92,14 +84,10 @@ from .guard import InvariantGuard, InvariantViolation, guarded
 from .resilience import (
     AuditFinding,
     AuditReport,
-    BreakerOpenError,
-    BreakerPolicy,
-    CircuitBreaker,
     DegradationPolicy,
     FaultPlan,
     GraphAuditor,
     InjectedFault,
-    KeyedBreakers,
     inject_faults,
 )
 from .lint import Diagnostic, LintReport, lint_paths
@@ -121,14 +109,10 @@ __all__ = [
     "ArgsKey",
     "AuditFinding",
     "AuditReport",
-    "BreakerOpenError",
-    "BreakerPolicy",
     "check",
-    "CheckDeadlineExceeded",
     "CheckFunction",
     "CheckRestrictionError",
     "ChromeTraceSink",
-    "CircuitBreaker",
     "ComputationNode",
     "CyclicCheckError",
     "DegradationPolicy",
@@ -154,7 +138,6 @@ __all__ = [
     "guarded",
     "is_tracked",
     "JsonlSink",
-    "KeyedBreakers",
     "lint_paths",
     "LintReport",
     "MetricsRegistry",
@@ -168,7 +151,6 @@ __all__ = [
     "ResultTypeError",
     "RunReport",
     "StepLimitExceeded",
-    "TenantIsolationError",
     "TraceSink",
     "TrackedArray",
     "TrackedList",

@@ -3,7 +3,6 @@
 from .argkeys import ArgsKey, is_primitive
 from .engine import DittoEngine
 from .errors import (
-    CheckDeadlineExceeded,
     CheckRestrictionError,
     CyclicCheckError,
     DittoError,
@@ -14,7 +13,6 @@ from .errors import (
     OptimisticMispredictionError,
     ResultTypeError,
     StepLimitExceeded,
-    TenantIsolationError,
     TrackingError,
     VerificationError,
 )
@@ -42,7 +40,6 @@ from .tracked import (
 
 __all__ = [
     "ArgsKey",
-    "CheckDeadlineExceeded",
     "CheckRestrictionError",
     "ComputationNode",
     "CyclicCheckError",
@@ -69,7 +66,6 @@ __all__ = [
     "ResultTypeError",
     "RunReport",
     "StepLimitExceeded",
-    "TenantIsolationError",
     "TrackedArray",
     "TrackedList",
     "TrackedObject",

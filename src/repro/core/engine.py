@@ -38,14 +38,13 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..instrument.registry import CheckFunction, check as as_check, closure_of
 from ..instrument.specialize import specialize_closure
 from ..instrument.transform import instrumented_source
 from .argkeys import ArgsKey, is_primitive
 from .errors import (
-    CheckDeadlineExceeded,
     CheckRestrictionError,
     CyclicCheckError,
     DittoError,
@@ -56,7 +55,6 @@ from .errors import (
     OptimisticMispredictionError,
     ResultTypeError,
     StepLimitExceeded,
-    TenantIsolationError,
     TrackingError,
     VerificationError,
 )
@@ -64,7 +62,7 @@ from .memo_table import MemoTable
 from .node import ComputationNode
 from .order_maintenance import OrderList
 from .stats import PHASES, EngineStats, RunReport
-from .tracked import TrackingState, tracking_state
+from .tracked import tracking_state
 from ..obs.trace import NullSink, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,7 +86,6 @@ _UNRECOVERABLE = (
     EngineStateError,
     InstrumentationError,
     ResultTypeError,
-    TenantIsolationError,
     TrackingError,
 )
 
@@ -105,13 +102,12 @@ class _RecursionLimitScope:
     process.
 
     ``sys.setrecursionlimit`` applies to every thread at once, and engines
-    on different threads run in parallel (the serving pool runs shards on
-    a thread pool).  So a run that ends must not put back the limit it
-    found while another run is still going, possibly deeper than that
-    limit.  The scope counts the runs inside it: any run raises the limit
-    to its own ``recursion_limit`` if the current one is lower, the first
-    raise records the caller's limit, and only the last run out restores
-    it."""
+    on different threads may run in parallel.  So a run that ends must not
+    put back the limit it found while another run is still going, possibly
+    deeper than that limit.  The scope counts the runs inside it: any run
+    raises the limit to its own ``recursion_limit`` if the current one is
+    lower, the first raise records the caller's limit, and only the last
+    run out restores it."""
 
     __slots__ = ("_lock", "_active", "_caller_limit")
 
@@ -145,17 +141,12 @@ _RECURSION_SCOPE = _RecursionLimitScope()
 class DittoEngine:
     """Automatic incrementalizer for one data structure invariant check."""
 
-    # Step-accounting backing fields.  Class-level defaults let the property
-    # setters below run in any order during ``__init__`` (each reads its
-    # siblings' backing attributes).
+    # Step-accounting backing field (set through the ``step_limit``
+    # property).
     _step_limit: Optional[int] = None
-    _step_hook: Optional[Callable[["DittoEngine"], None]] = None
-    _step_hook_interval: int = 128
-    _hook_countdown: int = 128
-    #: True iff a step limit or step hook is armed.  This is the single
-    #: per-step test the compiled closures perform before entering
-    #: :meth:`_step_tail`, so unlimited runs pay one attribute load per step
-    #: instead of the limit/hook/countdown cascade.
+    #: True iff a step limit is armed.  This is the single per-step test
+    #: the compiled closures perform before entering :meth:`_step_tail`, so
+    #: unlimited runs pay one attribute load per step.
     _step_active: bool = False
 
     def __init__(
@@ -170,9 +161,6 @@ class DittoEngine:
         degradation: Optional["DegradationPolicy"] = None,
         trace_sink: Optional[TraceSink] = None,
         lint: str = "off",
-        tracking: Optional[TrackingState] = None,
-        step_hook: Optional[Callable[["DittoEngine"], None]] = None,
-        step_hook_interval: int = 128,
         profiler: Optional["RepairProfiler"] = None,
     ):
         if mode not in _MODES:
@@ -204,18 +192,13 @@ class DittoEngine:
         #: the classic behaviour (step-limit rebuilds, everything else is
         #: forwarded to the main program).
         self.degradation = degradation
-        #: The write-barrier isolation domain this engine consumes from.
-        #: Defaults to the process-wide state; the serving layer binds each
-        #: tenant's engines to a private :class:`TrackingState` so tenants
-        #: cannot observe each other's barriers or fault hooks.
-        self.tracking = tracking if tracking is not None else tracking_state()
-        # Step accounting: the interval is assigned first (its setter
-        # validates and primes the countdown) so installing the hook sees
-        # the requested cadence, not the class default.
-        self.step_hook_interval = step_hook_interval
-        self.step_hook = step_hook
+        #: The process-default :class:`~repro.core.tracked.TrackingState`
+        #: at construction: its write log is the one this engine consumes
+        #: from.  :func:`~repro.core.tracked.reset_tracking` retires it,
+        #: after which :meth:`run` refuses.
+        self.tracking = tracking_state()
         self.stats = EngineStats()
-        self.table = MemoTable(self.tracking)
+        self.table = MemoTable()
         self.order = OrderList()
         # Observability (repro.obs).  ``tracing`` is the single boolean the
         # hot paths test: with the default NullSink no event is ever built.
@@ -346,47 +329,12 @@ class DittoEngine:
     @step_limit.setter
     def step_limit(self, limit: Optional[int]) -> None:
         self._step_limit = limit
-        self._step_active = limit is not None or self._step_hook is not None
-
-    @property
-    def step_hook(self) -> Optional[Callable[["DittoEngine"], None]]:
-        """Cooperative cancellation hook: called with the engine every
-        ``step_hook_interval`` runtime steps during instrumented execution.
-        Raising :class:`CheckDeadlineExceeded` from it aborts the run
-        transactionally (graph discarded, exception forwarded); the serving
-        layer uses this for soft deadlines."""
-        return self._step_hook
-
-    @step_hook.setter
-    def step_hook(self, hook: Optional[Callable[["DittoEngine"], None]]) -> None:
-        self._step_hook = hook
-        # A freshly-(re)installed hook starts a full interval from *now* —
-        # the countdown must not inherit the previous hook's residue, which
-        # could make the first firing up to a full interval late.
-        self._hook_countdown = self._step_hook_interval
-        self._step_active = hook is not None or self._step_limit is not None
-
-    @property
-    def step_hook_interval(self) -> int:
-        """Steps between :attr:`step_hook` invocations (>= 1)."""
-        return self._step_hook_interval
-
-    @step_hook_interval.setter
-    def step_hook_interval(self, interval: int) -> None:
-        if interval < 1:
-            raise ValueError(
-                f"step_hook_interval must be >= 1, got {interval!r}"
-            )
-        self._step_hook_interval = interval
-        # Re-arm immediately at the new cadence: a hook that tightens the
-        # interval mid-run (deadline pressure) must not wait out the stale
-        # countdown primed from the old interval.
-        self._hook_countdown = interval
+        self._step_active = limit is not None
 
     def _step_tail(self) -> None:
         """Slow half of per-step accounting, entered from the compiled
-        closures' inlined step sequence only when ``_step_active`` (a limit
-        or hook is armed)."""
+        closures' inlined step sequence only when ``_step_active`` (a step
+        limit is armed)."""
         if (
             self._step_limit is not None
             and self.in_incremental_run
@@ -395,12 +343,6 @@ class DittoEngine:
             raise StepLimitExceeded(
                 f"incremental run exceeded {self._step_limit} steps"
             )
-        hook = self._step_hook
-        if hook is not None:
-            self._hook_countdown -= 1
-            if self._hook_countdown <= 0:
-                self._hook_countdown = self._step_hook_interval
-                hook(self)
 
     def _phase_begin(self, name: str) -> float:
         self._current_phase = name
@@ -432,6 +374,14 @@ class DittoEngine:
         graph discard plus a trustworthy from-scratch answer."""
         if self._closed:
             raise EngineStateError("engine has been closed")
+        if self.tracking.retired:
+            # Barriers log to the current default state only, so this
+            # engine's log would never see another write: refuse rather
+            # than answer from a stale graph.
+            raise EngineStateError(
+                "engine was built before reset_tracking() retired its "
+                "tracking state; build a new engine"
+            )
         # Atomic busy guard: the non-blocking lock rejects a second thread,
         # the flag rejects same-thread re-entrancy (a check body calling
         # back into its own engine would corrupt the memo graph mid-run).
@@ -440,12 +390,11 @@ class DittoEngine:
                 f"DittoEngine.run() for check {self.entry.name!r} called "
                 f"while a run is already executing; check() is not "
                 f"re-entrant and engines must be externally serialized "
-                f"across threads (see repro.serving for a pooled front end)"
+                f"across threads"
             )
         try:
             self._running = True
             self.last_phase_times = {}
-            self._hook_countdown = self.step_hook_interval
             if self.mode == "scratch":
                 self.stats.runs += 1
                 self.stats.full_runs += 1
@@ -663,14 +612,6 @@ class DittoEngine:
             # §3.5 second remedy: discard and re-run from scratch (always
             # on, with or without a policy).
             return self._fallback("step_limit", args, exc)
-        except CheckDeadlineExceeded:
-            # Cooperative cancellation (soft deadline): transactionally
-            # discard the partially-repaired graph and forward.  The caller
-            # decides whether to retry (the next run rebuilds from
-            # scratch), degrade, or reject — see :mod:`repro.serving`.
-            self.invalidate()
-            self.stats.deadline_aborts += 1
-            raise
         except _NEVER_CAUGHT:
             self.invalidate()
             raise
@@ -724,13 +665,6 @@ class DittoEngine:
                 try:
                     result = self._incrementalize(args)
                     rebuilt = True
-                except CheckDeadlineExceeded:
-                    # The rebuild itself blew the soft deadline: count the
-                    # abort and forward — converting it into yet another
-                    # fallback would run uncancellable original code.
-                    self.invalidate()
-                    self.stats.deadline_aborts += 1
-                    raise
                 except _NEVER_CAUGHT:
                     self.invalidate()
                     raise
@@ -751,9 +685,9 @@ class DittoEngine:
                     )
         finally:
             # Exception safety: even when the fallback itself raises (a
-            # genuine check failure, or a deadline abort mid-rebuild), the
-            # failure streak still lengthens, the cooldown still engages,
-            # the phase timer closes, and the episode is recorded.
+            # genuine check failure), the failure streak still lengthens,
+            # the cooldown still engages, the phase timer closes, and the
+            # episode is recorded.
             # Otherwise a raising fallback would freeze the backoff state
             # and leak the open "fallback" phase into the next run.
             self._consecutive_fallbacks += 1

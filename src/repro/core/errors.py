@@ -125,43 +125,14 @@ class VerificationError(DittoError):
 
 
 class EngineStateError(DittoError):
-    """The engine was used incorrectly (e.g. re-entrant run() call)."""
+    """The engine was used incorrectly (e.g. re-entrant run() call, or a
+    run after :func:`~repro.core.tracked.reset_tracking` retired its
+    tracking state)."""
 
 
 class EngineBusyError(EngineStateError):
     """``run()`` was called while a run is already executing on this engine
     — either re-entrantly (a check body calling back into its own engine,
     which would corrupt the memo graph mid-repair) or from a second thread
-    without external serialization.  The serving layer's shard locks
-    prevent this by construction; seeing it means a caller bypassed them.
+    without external serialization.
     """
-
-
-class CheckDeadlineExceeded(DittoError):
-    """A cooperative step-budget hook cancelled the run: the check blew its
-    soft deadline.  The engine discards the partially-repaired graph before
-    forwarding this, so the caller may retry (the next run rebuilds from
-    scratch), degrade, or reject — see :mod:`repro.serving`."""
-
-
-class TenantIsolationError(DittoError):
-    """A tracked container already owned by one :class:`~repro.core.tracked.
-    TrackingState` was read by an engine bound to a *different* state.
-
-    Sharing a structure across isolation domains would let one tenant's
-    barrier traffic appear in another tenant's write log; the engine
-    refuses rather than silently cross-wiring them.  (Engines sharing one
-    state — the process-default state, or one tenant's engines — may share
-    structures freely.)
-    """
-
-    def __init__(self, container: object, owner: object, state: object):
-        self.container = container
-        self.owner = owner
-        self.state = state
-        super().__init__(
-            f"container {type(container).__name__} at {id(container):#x} is "
-            f"owned by tracking state {id(owner):#x} but was read by an "
-            f"engine bound to state {id(state):#x}; structures must not be "
-            f"shared across isolation domains"
-        )

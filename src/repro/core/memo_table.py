@@ -20,12 +20,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 from .argkeys import ArgsKey
 from .locations import IndexLocation, Location, RangeLocation
 from .node import ComputationNode
-from .tracked import (
-    TrackedArray,
-    TrackedObject,
-    TrackingState,
-    adopt_container,
-)
+from .tracked import TrackedArray, TrackedObject
 
 
 def _merge_intervals(
@@ -88,16 +83,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class MemoTable:
-    """Computation graph storage for one engine.
+    """Computation graph storage for one engine."""
 
-    ``tracking`` is the engine's isolation domain: every container this
-    table takes an implicit-argument reference into is adopted by that
-    domain first (its barriers then log to the domain's write log).  A
-    bare ``MemoTable()`` performs no adoption — containers keep logging to
-    the process-default state, the pre-isolation behaviour unit tests rely
-    on."""
-
-    def __init__(self, tracking: Optional[TrackingState] = None) -> None:
+    def __init__(self) -> None:
         #: ``(uid, parts) -> node``; ``parts`` is ``ArgsKey._parts``, and
         #: the key tuple is the node's own ``key``.
         self._entries: dict[tuple[int, tuple], ComputationNode] = {}
@@ -108,7 +96,6 @@ class MemoTable:
         #: long as its location is a reverse-map key, whose strong
         #: reference to the container keeps the ``id()`` from recycling.
         self._duck: dict[tuple, Location] = {}
-        self.tracking = tracking
 
     # Entry lookup. ----------------------------------------------------------
 
@@ -153,17 +140,6 @@ class MemoTable:
             location = self._duck.get(key, location)
         if location in node.implicits:
             return
-        if self.tracking is not None:
-            # First reference into the container binds its barriers to this
-            # engine's isolation domain (raises TenantIsolationError on a
-            # live cross-domain share).  Must happen before ANY bookkeeping:
-            # a location recorded in node.implicits without its matching
-            # incref would be decref'd by clear_implicits on the aborted
-            # run, silently draining the rightful owner's reference counts
-            # (and with them its barrier filters) one failed attempt at a
-            # time — until a retry found refcount 0 and adopted the
-            # structure out from under its owner.
-            adopt_container(container, self.tracking)
         node.implicits.add(location)
         dependents = self._reverse.get(location)
         if dependents is None:

@@ -107,9 +107,6 @@ class EngineStats:
     helper_calls: int = 0
     #: Runs served by the uninstrumented check during a degradation cooldown.
     degraded_runs: int = 0
-    #: Runs cancelled cooperatively by a step hook raising
-    #: :class:`~repro.core.errors.CheckDeadlineExceeded` (soft deadlines).
-    deadline_aborts: int = 0
     #: Graph audits performed (``engine.audit()`` / paranoia mode) and how
     #: many of them reported findings.
     audits: int = 0
@@ -166,7 +163,6 @@ class EngineStats:
         "implicit_reads",
         "helper_calls",
         "degraded_runs",
-        "deadline_aborts",
         "audits",
         "audit_failures",
         "verify_checks",

@@ -41,28 +41,22 @@ Location` to the global :class:`WriteLog`.  Each engine keeps a cursor into
 the log and consumes newly-logged locations at the start of its next run;
 the log compacts itself once every registered engine has caught up.
 
-Isolation domains
------------------
+One tracking domain
+-------------------
 
-Tracking state is *scoped*, not global: every :class:`TrackingState` is an
-independent isolation domain with its own write log and monitored-field
-set.  A process-default state (:func:`tracking_state`) preserves the
-classic single-heap behaviour — engines constructed without an explicit
-``tracking=`` argument all share it — while the multi-tenant serving layer
-(:mod:`repro.serving`) gives every tenant a private state, so a barrier
-fired under tenant A is physically unobservable by tenant B: it lands in a
-different log, is deduplicated against different cursors, and is dropped
-by a different fault hook.
+As in the paper, there is one heap and one write log.  The process holds
+a single current :class:`TrackingState` (:func:`tracking_state`): every
+engine registers its monitored fields and its log cursor there when it is
+built, and every barrier logs to whichever state is current when it
+fires.  Containers do not remember an owner.
 
-Each tracked container is *adopted* by the state of the first engine whose
-memo table takes a reference into it (the header's ``state``); its
-barriers log to that state from then on.  An engine bound to a different
-state that tries to read an owned container raises
-:class:`~repro.core.errors.TenantIsolationError` while the owner still
-holds references — silent cross-wiring is never an outcome.  Ownership is
-re-assignable once every reference is released (or the owning state is
-retired by :func:`reset_tracking`), so structures migrate cleanly between
-sequentially-used engines.
+:func:`reset_tracking` replaces the current state with a fresh one and
+marks the old one ``retired``.  It exists to isolate tests.  An engine
+built before the reset still consumes the retired state's log, which no
+barrier reaches any more, so its graph could only go stale:
+:meth:`~repro.core.engine.DittoEngine.run` raises
+:class:`~repro.core.errors.EngineStateError` on such an engine instead.
+Closing it is still fine, and releases its reference counts.
 
 Hot-path layout
 ---------------
@@ -72,8 +66,8 @@ common cases are flattened:
 
 * All per-container engine state lives in one slotted
   :class:`DittoHeader` — the coarse ``refcount``, the location-attributed
-  ``locrefs``, the interned-location cache ``locations`` and the owning
-  ``state`` — held under the single attribute ``_ditto``.
+  ``locrefs`` and the interned-location cache ``locations`` — held under
+  the single attribute ``_ditto``.
   ``TrackedObject.__new__`` and ``TrackedArray.__new__`` create it
   together with the container, and every reader (the barriers, the
   compiled check reads, the memo table, the auditor, the coarse
@@ -98,10 +92,9 @@ common cases are flattened:
 * Each state snapshots its monitored-field set and its write log's bound
   ``append`` into the ``monitored`` / ``log_append`` attributes, refreshed
   whenever monitoring changes.  An unmonitored attribute store costs one
-  refcount check, one owner-state load, and one frozenset probe; a write
-  to an unreferenced container costs the refcount check alone (and is
-  deliberately *not* counted — counting would tax the path the filter
-  exists to keep free).
+  refcount check and one frozenset probe; a write to an unreferenced
+  container costs the refcount check alone (and is deliberately *not*
+  counted — counting would tax the path the filter exists to keep free).
 * Shift-heavy list mutations (``insert`` / ``pop`` not at the tail,
   ``fill``) log a single coalesced :class:`~repro.core.locations.
   RangeLocation` covering every shifted slot instead of one
@@ -216,14 +209,12 @@ class WriteLog:
 
 
 class TrackingState:
-    """One write-barrier isolation domain.
+    """The write-barrier domain: a write log and the union of the
+    monitored field names of the engines registered with it.
 
-    Holds a write log and the union of the monitored field names of the
-    engines bound to it.  The process keeps one *default* state
-    (:func:`tracking_state`) that engines use unless constructed with an
-    explicit ``tracking=`` argument; the serving layer creates one state
-    per tenant.  Tests call :func:`reset_tracking` to start the default
-    domain from a clean slate.
+    The process keeps one current state (:func:`tracking_state`); every
+    engine and every barrier uses it.  Tests call :func:`reset_tracking`
+    to start from a clean slate (see the module docstring).
     """
 
     def __init__(self) -> None:
@@ -239,9 +230,8 @@ class TrackingState:
         #: both §4 filters but no live implicit argument names the exact
         #: location being written.
         self.barrier_location_filtered = 0
-        #: Set by :func:`reset_tracking` on the state it replaces: engines
-        #: bound to a retired state must not be used, and containers it
-        #: still owns may be re-adopted by a live state.
+        #: Set by :func:`reset_tracking` on the state it replaces; engines
+        #: built on a retired state refuse to run.
         self.retired = False
         #: Profiling probe (:mod:`repro.obs.profiler`): when armed, every
         #: location that passes the barrier filters is offered to the probe
@@ -317,7 +307,7 @@ class TrackingState:
         }
 
 
-#: The process-default isolation domain (see :func:`tracking_state`).
+#: The current tracking state (see :func:`tracking_state`).
 _state = TrackingState()
 
 
@@ -342,18 +332,18 @@ def location_filter_enabled() -> bool:
 
 
 def tracking_state() -> TrackingState:
-    """Return the process-default :class:`TrackingState` (the domain used
-    by engines constructed without an explicit ``tracking=``)."""
+    """Return the current :class:`TrackingState`, the one every barrier
+    logs to and every new engine registers with."""
     return _state
 
 
 def reset_tracking() -> None:
-    """Discard the default tracking state (write log, monitored fields).
+    """Replace the current tracking state (write log, monitored fields)
+    with a fresh one.
 
-    Intended for test isolation; engines created before a reset must not be
-    used afterwards.  The replaced state is marked ``retired`` so tracked
-    containers it still owns can be re-adopted by the fresh state.  States
-    created explicitly (per-tenant serving domains) are unaffected.
+    Intended for test isolation.  The replaced state is marked
+    ``retired``, and engines built on it raise
+    :class:`~repro.core.errors.EngineStateError` from ``run()``.
     """
     global _state
     _state.retired = True
@@ -376,18 +366,14 @@ class DittoHeader:
     * ``locations`` — the interned point locations, by coordinate (field
       name, slot index, or ``"<len>"``), filled on first use by the
       location constructors (:mod:`repro.core.locations`).
-    * ``state`` — the owning :class:`TrackingState`, set on adoption by
-      the first memo table that takes a reference; ``None`` means the
-      process-default state.
     """
 
-    __slots__ = ("refcount", "locrefs", "locations", "state")
+    __slots__ = ("refcount", "locrefs", "locations")
 
     def __init__(self) -> None:
         self.refcount = 0
         self.locrefs = 0
         self.locations: dict[Any, Location] = {}
-        self.state: "TrackingState | None" = None
 
 
 def _reduce_ex(self: Any, protocol: int) -> Any:
@@ -401,9 +387,9 @@ class TrackedObject:
 
     Mirrors the paper's ``IncObject``: carries a reference-count header
     (:class:`DittoHeader`, under ``_ditto``) and a write barrier.  Assigning
-    to an attribute of an instance whose reference count is positive *and*
-    whose attribute name is read by some check logs the mutated
-    :class:`FieldLocation` into the global write log.
+    to (or deleting) an attribute of an instance whose reference count is
+    positive *and* whose attribute name is read by some check logs the
+    mutated :class:`FieldLocation` into the global write log.
 
     Attributes whose names start with ``_`` are never monitored, so internal
     bookkeeping writes are cheap and invisible to the engines.
@@ -419,9 +405,7 @@ class TrackedObject:
     def __setattr__(self, name: str, value: Any) -> None:
         header = self._ditto
         if header.refcount > 0 and name[0] != "_":
-            state = header.state
-            if state is None:
-                state = _state
+            state = _state
             if name in state.monitored:
                 location = self._ditto_location(name)
                 if (
@@ -435,6 +419,27 @@ class TrackedObject:
             else:
                 state.barrier_filtered += 1
         object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        # A deletion is a write: the same barrier as __setattr__, spelled
+        # out again so that __setattr__ keeps its single frame.  The
+        # deletion runs first, so one that raises logs nothing.
+        header = self._ditto
+        object.__delattr__(self, name)
+        if header.refcount > 0 and name[0] != "_":
+            state = _state
+            if name in state.monitored:
+                location = self._ditto_location(name)
+                if (
+                    location.refcount > 0
+                    or header.refcount != header.locrefs
+                    or not _location_filter
+                ):
+                    state.log_append(location)
+                else:
+                    state.barrier_location_filtered += 1
+            else:
+                state.barrier_filtered += 1
 
     def _ditto_location(self, name: str) -> FieldLocation:
         """Interned :class:`FieldLocation` for ``self.<name>`` — one object
@@ -457,8 +462,8 @@ class TrackedObject:
         self._ditto.refcount -= 1
 
     # Copy and pickle: the state is the attributes without the header, so
-    # every copy starts unreferenced and unowned with a header of its own
-    # from ``__new__``. ----------------------------------------------------
+    # every copy starts unreferenced, with a header of its own from
+    # ``__new__``. ---------------------------------------------------------
 
     def __getstate__(self) -> dict[str, Any]:
         state = vars(self).copy()
@@ -517,17 +522,14 @@ class TrackedArray:
             if not 0 <= index < len(items):
                 raise IndexError("list assignment index out of range")
             location = self._ditto_location(index)
-            state = header.state
-            if state is None:
-                state = _state
             if (
                 location.refcount > 0
                 or header.refcount != header.locrefs
                 or not _location_filter
             ):
-                state.log_append(location)
+                _state.log_append(location)
             else:
-                state.barrier_location_filtered += 1
+                _state.barrier_location_filtered += 1
         items[index] = value
 
     def __len__(self) -> int:
@@ -552,24 +554,18 @@ class TrackedArray:
         """Log a point mutation unless the per-location refinement proves
         no live implicit argument reads it (see the module docstring)."""
         header = self._ditto
-        state = header.state
-        if state is None:
-            state = _state
         if (
             location.refcount > 0
             or header.refcount != header.locrefs
             or not _location_filter
         ):
-            state.log_append(location)
+            _state.log_append(location)
         else:
-            state.barrier_location_filtered += 1
+            _state.barrier_location_filtered += 1
 
     def _ditto_log_range(self, location: Location) -> None:
-        """Log a coalesced range barrier into the owning domain's log."""
-        state = self._ditto.state
-        if state is None:
-            state = _state
-        state.log_append(location)
+        """Log a coalesced range barrier."""
+        _state.log_append(location)
 
     def _ditto_incref(self) -> None:
         self._ditto.refcount += 1
@@ -660,30 +656,3 @@ class TrackedList(TrackedArray):
 def is_tracked(obj: Any) -> bool:
     """True if ``obj`` participates in write-barrier tracking."""
     return isinstance(obj, (TrackedObject, TrackedArray))
-
-
-def adopt_container(container: Any, state: TrackingState) -> None:
-    """Bind ``container``'s barriers to the isolation domain ``state``.
-
-    Called by the memo table before it takes its first reference into a
-    container.  An unowned container (or one whose previous owner released
-    every reference or was retired) is adopted; a container still owned by
-    a *different* live domain raises
-    :class:`~repro.core.errors.TenantIsolationError` — the cross-tenant
-    sharing the serving layer must never silently permit.  Containers
-    without a :class:`DittoHeader` (custom duck-typed tracked types) are
-    left alone: they have no owner and keep logging wherever their own
-    barriers log.
-    """
-    header = getattr(container, "_ditto", None)
-    if type(header) is not DittoHeader:
-        return
-    owner = header.state
-    if owner is state:
-        return
-    if owner is None or owner.retired or header.refcount == 0:
-        header.state = state
-        return
-    from .errors import TenantIsolationError
-
-    raise TenantIsolationError(container, owner, state)

@@ -17,11 +17,11 @@ check code                        compiled code
 ================================  =====================================
 
 Each closure pre-binds the engine state its path touches (the node stack,
-the memo-table dicts, the stats record, the order list, the tracking
-domain) in closure cells and *inlines* the full per-read sequence — step
-accounting, interned-:class:`~repro.core.locations.Location` lookup,
+the memo-table dicts, the stats record, the order list) in closure cells
+and *inlines* the full per-read sequence — step accounting,
+interned-:class:`~repro.core.locations.Location` lookup, and
 implicit-argument recording with reverse-map and reference-count
-maintenance, and the adoption fast test — into a single Python frame.
+maintenance — into a single Python frame.
 Those per-operation constant factors are what §5.1.1's crossover size
 measures: incremental checking only wins once the structure outgrows them.
 The per-call closure ``__dcall_<uid>__`` likewise inlines the memo-key
@@ -48,10 +48,10 @@ What stays generic — deliberately:
   (:mod:`repro.resilience.faults`) still intercepts them.
 * Rebindable engine state — ``tracing``/``_sink``, ``helper_summaries``,
   ``method_summaries``, ``verified_helpers`` (rebound by
-  ``engine.lint()``), the step hook/limit — is read through the engine at
+  ``engine.lint()``), the step limit — is read through the engine at
   call time.
-* The step limit and step hook live in :meth:`DittoEngine._step_tail`,
-  entered only when one of them is armed.
+* The step limit lives in :meth:`DittoEngine._step_tail`, entered only
+  when a limit is armed.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from ..core.errors import (
 from ..core.locations import FieldLocation, IndexLocation, LengthLocation
 from ..core.node import ComputationNode
 from ..core.order_maintenance import _APPEND_GAP, _UNIVERSE
-from ..core.tracked import TrackedArray, TrackedObject, adopt_container
+from ..core.tracked import TrackedArray, TrackedObject
 from .transform import (
     IMMUTABLE_RECEIVERS,
     _InstrumentTransformer,
@@ -122,13 +122,12 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
     stats = engine.stats
     table = engine.table
     entries_reverse = table._reverse
-    tracking = engine.tracking
     strict = engine.strict
     new_location = object.__new__
 
     def __dget__(obj: Any, name: str) -> Any:
         # Step, interned-location lookup, and the record_implicit path
-        # (adopt test, reverse map, location incref) in this one frame.
+        # (reverse map, location incref) in this one frame.
         engine.steps += 1
         if engine._step_active:
             engine._step_tail()
@@ -150,11 +149,6 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
                 location.refcount = 0
                 location = header.locations.setdefault(name, location)
             if location not in node.implicits:
-                # Adoption must precede any bookkeeping (see the soundness
-                # note in MemoTable.record_implicit); the identity test is
-                # the steady-state fast path.
-                if header.state is not tracking:
-                    adopt_container(obj, tracking)
                 node.implicits.add(location)
                 dependents = entries_reverse.get(location)
                 if dependents is None:
@@ -209,8 +203,6 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
                 location.refcount = 0
                 location = header.locations.setdefault(index, location)
             if location not in node.implicits:
-                if header.state is not tracking:
-                    adopt_container(obj, tracking)
                 node.implicits.add(location)
                 dependents = entries_reverse.get(location)
                 if dependents is None:
@@ -246,8 +238,6 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
                 location.refcount = 0
                 location = header.locations.setdefault("<len>", location)
             if location not in node.implicits:
-                if header.state is not tracking:
-                    adopt_container(obj, tracking)
                 node.implicits.add(location)
                 dependents = entries_reverse.get(location)
                 if dependents is None:

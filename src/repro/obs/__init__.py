@@ -29,7 +29,7 @@ Three sub-layers, all near-zero-cost until attached:
 * :mod:`repro.obs.flight` — the black-box flight recorder: a bounded
   ring of recent run summaries + trace slices per engine, auto-dumping a
   self-contained JSON artifact when something goes wrong (scratch
-  fallback, deadline abort, breaker trip, QA divergence).
+  fallback, QA divergence).
 
 * :mod:`repro.obs.regression` — continuous regression detection: rolling
   EWMA and frozen-p99 baselines per check, emitting
@@ -55,7 +55,6 @@ from .metrics import (
     DEFAULT_SIZE_BUCKETS,
     Counter,
     EngineMetrics,
-    PoolMetrics,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -92,7 +91,6 @@ __all__ = [
     "MetricsRegistry",
     "NullSink",
     "parse_prometheus_text",
-    "PoolMetrics",
     "RegressionAlert",
     "RegressionDetector",
     "RepairProfiler",

@@ -2,7 +2,7 @@
 
 ``python -m repro.obs analyze`` reads back the artifacts the layer
 writes — flight-recorder dumps, repair profiles, regression reports,
-chaos records, JSONL traces, and committed ``BENCH_*.json`` history —
+JSONL traces, and committed ``BENCH_*.json`` history —
 summarizes them, and (with ``--against``/``--gate``) fails the build on
 benchmark drift.  See :mod:`repro.obs.analyze`.
 """

@@ -9,7 +9,6 @@ the observability layer writes to disk:
   and per-check attribution, re-rendered from the JSON export;
 * **regression reports** (``kind: "regression_report"``) — baselines and
   the alert log;
-* **chaos artifacts** (``ChaosResult.to_json``) — campaign outcome;
 * **BENCH_*.json records** — diffed against the committed history with
   ``--against benchmarks`` and gated with ``--gate``: a watched metric
   drifting past ``--threshold`` (default 1.5x) fails the build.  The
@@ -36,30 +35,25 @@ from typing import Any, Optional
 LOWER_BETTER = ("_ms", "_s", "seconds", "p50", "p99")
 
 #: Exact leaf names treated as higher-is-better.
-HIGHER_BETTER = ("speedup", "append_ratio", "logged_ratio", "shed_rate")
+HIGHER_BETTER = ("speedup", "append_ratio", "logged_ratio")
 
 #: Leaf-path fragments never gated: configuration echoes, counts whose
 #: "better" direction is ambiguous, and setup/wall timings dominated by
 #: interpreter start-up noise.
 UNGATED = (
     "params", "config", "setup", "wall_", "statuses", "benchmark",
-    "generated_by", "appends", "logged", "checks", "tenants", "trips",
-    "rejections", "hits", "filtered", "completed", "submitted",
-    "deadline_calls", "shed_rate",
+    "generated_by", "appends", "logged", "filtered",
     # BENCH_crossover.json: crossover estimates are rung-quantized and
     # censoring-clamped; bench_crossover.py's --check gate compares them
     # censoring-aware, which this generic ratio net cannot.
     "crossover", "win_rung", "mods",
 )
-# shed_rate appears in both: listed HIGHER_BETTER for documentation of
-# direction but UNGATED in practice — it is a load-shape outcome, not a
-# performance metric.
 
 
 def load_document(path: str) -> tuple[str, Any]:
     """Classify ``path`` and load it.  Returns ``(kind, payload)`` where
     kind is one of ``flight_dump`` / ``repair_profile`` /
-    ``regression_report`` / ``chaos`` / ``bench`` / ``trace_jsonl`` /
+    ``regression_report`` / ``bench`` / ``trace_jsonl`` /
     ``chrome_trace`` / ``unknown``."""
     if path.endswith(".jsonl"):
         return "trace_jsonl", _load_jsonl(path)
@@ -78,8 +72,6 @@ def load_document(path: str) -> tuple[str, Any]:
         kind = doc.get("kind")
         if kind in ("flight_dump", "repair_profile", "regression_report"):
             return kind, doc
-        if "divergences" in doc and "faults_injected" in doc:
-            return "chaos", doc
         if "benchmark" in doc:
             return "bench", doc
         if isinstance(doc.get("traceEvents"), list):
@@ -119,8 +111,7 @@ def summarize_flight_dump(doc: dict) -> str:
         + (f" — {doc['detail']}" if doc.get("detail") else ""),
         f"  graph: {doc.get('graph_size', 0)} node(s); "
         f"lifetime runs {stats.get('runs', 0)} "
-        f"(scratch fallbacks {stats.get('scratch_fallbacks', 0)}, "
-        f"deadline aborts {stats.get('deadline_aborts', 0)})",
+        f"(scratch fallbacks {stats.get('scratch_fallbacks', 0)})",
         f"  black box: {len(runs)} run summary(ies), "
         f"{len(trace)} trace event(s)",
     ]
@@ -194,17 +185,6 @@ def summarize_regression(doc: dict) -> str:
             f"({alert['ratio']:.2f}x at sample {alert['samples']})"
         )
     return "\n".join(lines)
-
-
-def summarize_chaos(doc: dict) -> str:
-    return (
-        f"chaos artifact: {doc.get('structure')} seed={doc.get('seed')}, "
-        f"{doc.get('rounds')} round(s), "
-        f"{sum(doc.get('faults_injected', {}).values())} fault(s), "
-        f"{len(doc.get('divergences', []))} divergence(s), "
-        f"{len(doc.get('flight_dumps', []))} flight dump(s) -> "
-        f"{'OK' if doc.get('ok') else 'FAIL'}"
-    )
 
 
 def summarize_trace(events: list[dict]) -> str:
@@ -330,7 +310,7 @@ def analyze(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "paths", nargs="*",
         help="artifacts: flight dumps, repair profiles, regression "
-             "reports, chaos artifacts, BENCH_*.json, *.jsonl traces",
+             "reports, BENCH_*.json, *.jsonl traces",
     )
     parser.add_argument(
         "--against", metavar="DIR", default=None,
@@ -381,9 +361,6 @@ def analyze(argv: Optional[list] = None) -> int:
             alerts = doc.get("alerts", [])
             record["alerts"] += len(alerts)
             print(summarize_regression(doc))
-        elif kind == "chaos":
-            print(summarize_chaos(doc))
-            record["alerts"] += len(doc.get("divergences", []))
         elif kind == "trace_jsonl":
             print(summarize_trace(doc))
         elif kind == "chrome_trace":

@@ -1,24 +1,19 @@
 """Black-box flight recorder: bounded always-on capture, dumped on faults.
 
-Serving a thousand tenants, the interesting engine is the one that just
-fell back to scratch, blew its deadline, tripped its breaker, or diverged
-from the QA oracle — and by the time a human looks, the evidence is gone.
-The flight recorder keeps a *bounded* ring of recent run summaries plus a
-trace slice per engine (constant memory, no I/O on the happy path) and
-writes a self-contained JSON artifact the moment a trigger fires:
+The interesting run is the one where an engine just fell back to scratch
+or diverged from the QA oracle — and by the time a human looks, the
+evidence is gone.  The flight recorder keeps a *bounded* ring of recent
+run summaries plus a trace slice per engine (constant memory, no I/O on
+the happy path) and writes a self-contained JSON artifact the moment a
+trigger fires:
 
 * ``scratch_fallback`` — the engine degraded to a from-scratch rebuild
   (detected from the ``scratch_fallbacks`` counter delta);
-* ``deadline_abort`` — a cooperative deadline cancelled a repair
-  (``deadline_aborts`` delta);
-* ``breaker_trip`` — the tenant's circuit breaker opened
-  (:class:`repro.serving.EnginePool` calls :meth:`trigger`);
 * ``qa_divergence`` — a differential harness observed the incremental
-  answer disagreeing with its oracle (chaos harness calls
-  :meth:`trigger`).
+  answer disagreeing with its oracle (the harness calls :meth:`trigger`).
 
 Artifacts are rate-limited (``max_dumps`` per recorder plus an optional
-``min_dump_interval``) so a persistently-sick tenant cannot fill a disk,
+``min_dump_interval``) so a persistently-sick engine cannot fill a disk,
 and each one carries everything ``python -m repro.obs analyze`` needs to
 summarize the incident offline: engine identity, cumulative stats and
 timers, the fallback-event log, the run-summary ring, and the trace
@@ -27,8 +22,7 @@ slice.
 Attaching splices a :class:`~repro.obs.trace.RingBufferSink` into the
 engine via :class:`~repro.obs.trace.TeeSink`, preserving whatever sink
 the user already installed.  The recorder is single-threaded by design:
-in the pool every tenant gets its own recorder and all access happens
-under the tenant's shard lock.
+use one recorder per engine, from the thread that runs the engine.
 """
 
 from __future__ import annotations
@@ -48,13 +42,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: that reveals them.
 _WATCHED_COUNTERS: tuple[tuple[str, str], ...] = (
     ("scratch_fallback", "scratch_fallbacks"),
-    ("deadline_abort", "deadline_aborts"),
 )
 
 #: All trigger reasons a dump can carry.
 TRIGGER_REASONS: frozenset[str] = frozenset(
-    {"scratch_fallback", "deadline_abort", "breaker_trip",
-     "qa_divergence", "manual"}
+    {"scratch_fallback", "qa_divergence", "manual"}
 )
 
 
@@ -66,8 +58,7 @@ class FlightRecorder:
     dump_dir:
         Directory artifacts are written into (created on first dump).
     name:
-        Identity embedded in artifact filenames and payloads — the
-        tenant key, in the pool.
+        Identity embedded in artifact filenames and payloads.
     capacity:
         Run summaries retained (ring; oldest evicted).
     trace_capacity:
@@ -151,8 +142,8 @@ class FlightRecorder:
 
     def observe(self) -> Optional[str]:
         """Record a summary of the engine's most recent run and fire any
-        stats-delta triggers.  Call after every ``engine.run()`` (the
-        pool does).  Returns the artifact path if this observation
+        stats-delta triggers.  Call after every ``engine.run()``.
+        Returns the artifact path if this observation
         triggered a dump, else ``None``."""
         engine = self.engine
         if engine is None:

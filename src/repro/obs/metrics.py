@@ -396,7 +396,7 @@ class EngineMetrics:
     def _refresh_barrier_counters(self, ns: str) -> None:
         """Mirror the engine's write-barrier counters.  These live on the
         engine's tracking state, not on EngineStats: the barrier is shared
-        by every engine bound to that isolation domain.  A
+        by every engine.  A
         ``reset_tracking()`` zeroes the source while Prometheus counters
         must not decrease, so stale-high mirrors are left in place until
         the source catches up."""
@@ -406,70 +406,6 @@ class EngineMetrics:
             )
             if value >= counter.value:
                 counter.set_total(value)
-
-    def to_prometheus_text(self) -> str:
-        self.refresh()
-        return self.registry.to_prometheus_text()
-
-
-class PoolMetrics:
-    """Mirror an :class:`~repro.serving.pool.EnginePool`'s health into a
-    :class:`MetricsRegistry`.
-
-    Lifetime totals from ``pool.stats()`` become ``<ns>_<name>_total``
-    counters; point-in-time values (tenant/breaker/queue occupancy) become
-    gauges; :meth:`record_check` feeds per-call latency and queue-wait
-    histograms from :class:`~repro.serving.results.CheckResult` objects.
-    """
-
-    #: ``pool.stats()`` keys that are occupancy readings, not totals.
-    GAUGE_KEYS = frozenset(
-        {"tenants", "shards", "workers", "queue_depth", "breakers",
-         "breakers_open"}
-    )
-
-    def __init__(
-        self,
-        pool: Any,
-        registry: Optional[MetricsRegistry] = None,
-        namespace: str = "ditto_pool",
-    ):
-        self.pool = pool
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.namespace = namespace
-        ns = namespace
-        self.check_duration = self.registry.histogram(
-            f"{ns}_check_duration_seconds",
-            "Wall-clock seconds per pool.check() call (admission to result)",
-            DEFAULT_LATENCY_BUCKETS,
-        )
-        self.queue_wait = self.registry.histogram(
-            f"{ns}_queue_wait_seconds",
-            "Seconds a check waited for its shard lock and worker",
-            DEFAULT_LATENCY_BUCKETS,
-        )
-        self.refresh()
-
-    def record_check(self, result: Any) -> None:
-        """Account one pool check result (histograms + counter mirror)."""
-        self.check_duration.observe(getattr(result, "duration", 0.0))
-        self.queue_wait.observe(getattr(result, "queue_time", 0.0))
-        self.refresh()
-
-    def refresh(self) -> None:
-        """Re-mirror the pool's stats dict."""
-        ns = self.namespace
-        for name, value in self.pool.stats().items():
-            if name in self.GAUGE_KEYS:
-                self.registry.gauge(
-                    f"{ns}_{name}", f"EnginePool {name}"
-                ).set(value)
-            else:
-                counter = self.registry.counter(
-                    f"{ns}_{name}_total", f"EnginePool {name}"
-                )
-                if value >= counter.value:
-                    counter.set_total(value)
 
     def to_prometheus_text(self) -> str:
         self.refresh()

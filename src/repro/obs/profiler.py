@@ -39,12 +39,10 @@ JSON (https://www.speedscope.app), and a memo-graph *heat* DOT layered
 on the provenance renderer's escaping rules.
 
 The profiler is deliberately single-threaded — attach one per engine
-(the bench CLI and :class:`repro.serving.EnginePool` both run each
-engine under a lock, and the serving determinism test drives
-``pool.check`` sequentially).  When several engines share one tracking
-state, pending site tags are attributed to the first engine that drains
-the shared write log; per-tenant states (the serving layout) make the
-attribution exact.
+(the bench CLI runs each engine under a lock).  Every engine shares the
+one tracking state, so when several are profiled at once, pending site
+tags are attributed to the first engine that drains the shared write
+log.
 """
 
 from __future__ import annotations
@@ -189,7 +187,7 @@ class RepairProfiler:
         self._clock = clock
 
         # Attachment bookkeeping: states are refcounted because several
-        # engines may share one TrackingState (shared-structure tests).
+        # engines share one TrackingState.
         self._engines: list["DittoEngine"] = []
         self._states: dict[int, list] = {}  # id -> [state, refcount]
 

@@ -23,11 +23,10 @@ warmup of the interpreter's caches) never alert.  Alerts are
 emitted as ``regression_alert`` trace instants and mirrored into a
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
-``observe()`` is thread-safe (one lock; the serving pool calls it from
-every worker thread).  Feed it whatever latency is most meaningful —
-``engine.last_duration`` standalone, or service time (duration minus
-queue wait) in the pool, so queueing under load doesn't masquerade as a
-repair-cost regression.
+``observe()`` is thread-safe (one lock).  Feed it whatever latency is
+most meaningful — ``engine.last_duration`` standalone, or service time
+(duration minus queue wait) behind a request queue, so queueing under
+load doesn't masquerade as a repair-cost regression.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ class JsonlSink(TraceSink):
     ``target`` may be a path (opened and owned by the sink) or an open
     text-mode file object (flushed but left open on :meth:`close`).
 
-    Long-running captures — multi-hour soaks, serving chaos campaigns —
+    Long-running captures — multi-hour soaks, long QA campaigns —
     need two guarantees a naive streaming sink doesn't give:
 
     * **visibility**: :meth:`flush` pushes buffered lines to the OS on

@@ -11,35 +11,20 @@ Three cooperating pieces keep a production engine trustworthy:
 * :class:`DegradationPolicy` tells the engine how to recover when trust is
   lost: transactionally discard the graph, answer from scratch, record the
   episode in :class:`~repro.core.stats.EngineStats`, and optionally back
-  off to scratch mode for a cooldown before retrying incremental;
-* :class:`CircuitBreaker` / :class:`KeyedBreakers` generalize the same
-  failure-streak/backoff idea across *callers*: the serving layer
-  (:mod:`repro.serving`) keeps one breaker per tenant so a persistently
-  failing check is shed — with an explicit ``breaker_open`` answer and a
-  half-open recovery probe — instead of burning pool capacity.
+  off to scratch mode for a cooldown before retrying incremental.
 """
 
 from .auditor import AuditFinding, AuditReport, GraphAuditor
-from .degradation import (
-    BreakerOpenError,
-    BreakerPolicy,
-    CircuitBreaker,
-    DegradationPolicy,
-    KeyedBreakers,
-)
+from .degradation import DegradationPolicy
 from .faults import FaultInjector, FaultPlan, InjectedFault, inject_faults
 
 __all__ = [
     "AuditFinding",
     "AuditReport",
-    "BreakerOpenError",
-    "BreakerPolicy",
-    "CircuitBreaker",
     "DegradationPolicy",
     "FaultInjector",
     "FaultPlan",
     "GraphAuditor",
     "InjectedFault",
-    "KeyedBreakers",
     "inject_faults",
 ]

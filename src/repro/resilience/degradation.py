@@ -19,27 +19,11 @@ The :class:`DegradationPolicy` configures that recovery:
 A policy object is pure configuration and may be shared between engines;
 all mutable state (cooldown counters, consecutive-failure count) lives on
 the engine.
-
-The second half of this module generalizes the same trip/back-off/retry
-shape into a *keyed circuit breaker* for the serving layer
-(:mod:`repro.serving`): where a :class:`DegradationPolicy` degrades one
-engine's *answers*, a :class:`CircuitBreaker` stops *admitting calls* to a
-persistently-failing tenant altogether, probing it again (half-open) after
-an exponentially-backed-off recovery window.  Breaker state is shared by
-every worker thread of the pool, so unlike the engine-resident counters it
-is lock-protected and exception-safe: a probe that raises — or is torn
-down by ``KeyboardInterrupt`` — always restores the breaker to a
-consistent state instead of leaking its half-open slot.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional
-
-from ..core.errors import DittoError
 
 
 @dataclass(frozen=True)
@@ -97,263 +81,3 @@ class DegradationPolicy:
             self.backoff_factor ** max(0, consecutive_fallbacks - 1)
         )
         return min(window, float(self.max_cooldown_runs))
-
-
-# Keyed circuit breakers (serving layer). ------------------------------------
-
-#: Control-flow exceptions that must pass through the breaker untouched:
-#: they are neither successes nor service failures, so the probe slot is
-#: released without moving the failure streak.
-_NEVER_COUNTED = (KeyboardInterrupt, SystemExit, GeneratorExit)
-
-
-class BreakerOpenError(DittoError):
-    """A call was rejected because the target's circuit breaker is open.
-
-    ``retry_after`` is the number of seconds until the breaker will next
-    admit a half-open probe (0 when a probe is already admissible)."""
-
-    def __init__(self, key: object, retry_after: float):
-        self.key = key
-        self.retry_after = retry_after
-        super().__init__(
-            f"circuit breaker for {key!r} is open; next probe admitted in "
-            f"{retry_after:.3f}s"
-        )
-
-
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Pure configuration for a :class:`CircuitBreaker` (shareable across
-    breakers exactly as :class:`DegradationPolicy` is across engines)."""
-
-    #: Consecutive failures that trip the breaker open.
-    failure_threshold: int = 5
-    #: Seconds the breaker stays open before admitting a half-open probe.
-    recovery_time: float = 30.0
-    #: Recovery-window multiplier per consecutive re-trip (a successful
-    #: close resets the streak).
-    backoff_factor: float = 2.0
-    #: Upper bound on any single recovery window.
-    max_recovery_time: float = 300.0
-    #: Consecutive half-open probe successes required to close again.
-    half_open_probes: int = 1
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.recovery_time <= 0:
-            raise ValueError("recovery_time must be > 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1.0")
-        if self.max_recovery_time < self.recovery_time:
-            raise ValueError("max_recovery_time must be >= recovery_time")
-        if self.half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
-
-    def recovery_for(self, trips: int) -> float:
-        """Length of the open window after the N-th consecutive trip."""
-        window = self.recovery_time * (
-            self.backoff_factor ** max(0, trips - 1)
-        )
-        return min(window, self.max_recovery_time)
-
-
-class CircuitBreaker:
-    """One closed → open → half-open circuit breaker.
-
-    Thread-safe: every transition happens under an internal lock, so any
-    number of pool workers may share one instance.  The clock is
-    injectable so tests (and the chaos harness) can drive recovery windows
-    deterministically without sleeping.
-
-    Two usage styles, freely mixable:
-
-    * ``call(fn, *args)`` — gate, execute, and record in one step with
-      exception safety built in;
-    * ``allow()`` + ``record_success()`` / ``record_failure()`` /
-      ``release()`` — manual gating for callers (like
-      :class:`~repro.serving.pool.EnginePool`) that must classify the
-      outcome themselves.  Every ``allow() == True`` **must** be paired
-      with exactly one of the three recorders, even when the guarded call
-      raises; otherwise a half-open probe slot leaks and the breaker can
-      wedge half-open forever.
-    """
-
-    def __init__(
-        self,
-        policy: Optional[BreakerPolicy] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.policy = policy if policy is not None else BreakerPolicy()
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = "closed"
-        self._consecutive_failures = 0
-        self._opened_at = 0.0
-        self._trip_streak = 0  # consecutive trips without a clean close
-        self._probes_in_flight = 0
-        self._probe_successes = 0
-        #: Lifetime counters (monotonic; surfaced by pool stats).
-        self.trips = 0
-        self.rejections = 0
-
-    # Introspection. ---------------------------------------------------------
-
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"``, or ``"half_open"`` (open flips to
-        half-open lazily, at the next :meth:`allow` after the window)."""
-        with self._lock:
-            return self._state
-
-    def retry_after(self) -> float:
-        """Seconds until a probe becomes admissible (0 when one already is)."""
-        with self._lock:
-            if self._state != "open":
-                return 0.0
-            window = self.policy.recovery_for(self._trip_streak)
-            return max(0.0, self._opened_at + window - self._clock())
-
-    # Gating. ----------------------------------------------------------------
-
-    def allow(self) -> bool:
-        """Admit one call; False means the caller must shed it.  May
-        transition open → half-open when the recovery window has elapsed."""
-        with self._lock:
-            if self._state == "closed":
-                return True
-            if self._state == "open":
-                window = self.policy.recovery_for(self._trip_streak)
-                if self._clock() - self._opened_at < window:
-                    self.rejections += 1
-                    return False
-                self._state = "half_open"
-                self._probes_in_flight = 0
-                self._probe_successes = 0
-            # Half-open: admit at most the configured number of probes.
-            if self._probes_in_flight >= self.policy.half_open_probes:
-                self.rejections += 1
-                return False
-            self._probes_in_flight += 1
-            return True
-
-    # Outcome recording. -----------------------------------------------------
-
-    def record_success(self) -> None:
-        with self._lock:
-            if self._state == "half_open":
-                self._probes_in_flight -= 1
-                self._probe_successes += 1
-                if self._probe_successes >= self.policy.half_open_probes:
-                    self._state = "closed"
-                    self._trip_streak = 0
-                    self._consecutive_failures = 0
-            else:
-                self._consecutive_failures = 0
-
-    def record_failure(self) -> None:
-        with self._lock:
-            if self._state == "half_open":
-                # A failed probe re-opens immediately with a longer window.
-                self._probes_in_flight -= 1
-                self._trip(self._clock())
-                return
-            self._consecutive_failures += 1
-            if (
-                self._state == "closed"
-                and self._consecutive_failures
-                >= self.policy.failure_threshold
-            ):
-                self._trip(self._clock())
-
-    def release(self) -> None:
-        """Withdraw an admitted call without recording an outcome (the
-        guarded call never ran, or was torn down by control flow).  This is
-        the exception-safety escape hatch: state is restored exactly as if
-        :meth:`allow` had never been called."""
-        with self._lock:
-            if self._state == "half_open" and self._probes_in_flight > 0:
-                self._probes_in_flight -= 1
-
-    def _trip(self, now: float) -> None:
-        # Lock held by caller.
-        self._state = "open"
-        self._opened_at = now
-        self._trip_streak += 1
-        self._consecutive_failures = 0
-        self._probes_in_flight = 0
-        self._probe_successes = 0
-        self.trips += 1
-
-    # One-step wrapper. ------------------------------------------------------
-
-    def call(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Gate ``fn`` behind the breaker: raise :class:`BreakerOpenError`
-        when open, otherwise execute and record the outcome.  Exceptions
-        from ``fn`` count as failures and propagate; interpreter control
-        flow (``KeyboardInterrupt`` &c.) releases the slot uncounted."""
-        if not self.allow():
-            raise BreakerOpenError("<breaker>", self.retry_after())
-        try:
-            result = fn(*args, **kwargs)
-        except _NEVER_COUNTED:
-            self.release()
-            raise
-        except BaseException:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
-
-
-class KeyedBreakers:
-    """A family of :class:`CircuitBreaker` instances, one per key (the
-    serving layer keys them by tenant).  Creation is on-demand and
-    thread-safe; all breakers share one policy and clock."""
-
-    def __init__(
-        self,
-        policy: Optional[BreakerPolicy] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.policy = policy if policy is not None else BreakerPolicy()
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._breakers: Dict[object, CircuitBreaker] = {}
-
-    def get(self, key: object) -> CircuitBreaker:
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = CircuitBreaker(self.policy, self._clock)
-                self._breakers[key] = breaker
-            return breaker
-
-    def remove(self, key: object) -> None:
-        with self._lock:
-            self._breakers.pop(key, None)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._breakers)
-
-    def __iter__(self) -> Iterator[tuple[object, CircuitBreaker]]:
-        with self._lock:
-            items = list(self._breakers.items())
-        return iter(items)
-
-    def stats(self) -> dict[str, int]:
-        """Aggregate lifetime counters across every key."""
-        trips = rejections = open_now = 0
-        for _key, breaker in self:
-            trips += breaker.trips
-            rejections += breaker.rejections
-            if breaker.state != "closed":
-                open_now += 1
-        return {
-            "breakers": len(self),
-            "breaker_trips": trips,
-            "breaker_rejections": rejections,
-            "breakers_open": open_now,
-        }

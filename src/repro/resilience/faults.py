@@ -110,9 +110,8 @@ class FaultInjector:
     def __enter__(self) -> "FaultInjector":
         plan = self.plan
         if plan.drop_writes > 0:
-            # Arm on the target engine's own isolation domain: a fault
-            # plan for one tenant must be invisible to every other
-            # tenant's write log (the chaos harness relies on this).
+            # The write log is shared, so every engine consuming it loses
+            # the dropped writes, not only the target.
             log = self.engine.tracking.write_log
             if log.fault_hook is not None:
                 raise RuntimeError("another fault hook is already armed")

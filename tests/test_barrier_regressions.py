@@ -16,6 +16,7 @@ import pytest
 from repro import DittoEngine, TrackedList, check, tracking_state
 from repro.core.locations import LengthLocation
 from repro.qa import CHECK_OP, Op, Oracle, Trace
+from repro.structures.ordered_list import IntListElem, is_ordered
 
 
 @check
@@ -123,6 +124,43 @@ class TestModesAgreeOnRepro:
         assert report.ok, "\n".join(str(d) for d in report.divergences)
         assert report.checks_run == 6  # 5 explicit + the implicit final
         assert report.audit_findings == {"ditto": [], "naive": []}
+
+
+class TestAttributeDeletion:
+    @pytest.mark.parametrize("mode", ["ditto", "naive"])
+    def test_deleted_field_dirties_its_reader(self, engine_factory, mode):
+        """Pre-fix: ``TrackedObject`` had no ``__delattr__``, so ``del``
+        bypassed the barrier and the engine kept its cached ``True`` while
+        the plain check raises."""
+        head = IntListElem(1, IntListElem(2, IntListElem(3)))
+        engine = engine_factory(is_ordered, mode=mode)
+        assert engine.run(head) is True
+        del head.next.next
+        with pytest.raises(AttributeError) as scratch:
+            is_ordered(head)
+        with pytest.raises(AttributeError) as incremental:
+            engine.run(head)
+        assert str(incremental.value) == str(scratch.value)
+        assert tracking_state().barrier_counters()["barrier_logged"] == 1
+
+    def test_deletion_passes_the_store_filters(self, engine_factory):
+        head = IntListElem(1)  # the check reads head.next, not head.value
+        engine = engine_factory(is_ordered)
+        assert engine.run(head) is True
+        state = tracking_state()
+        head.note = "unmonitored"
+        del head.note  # monitored-field filter
+        del head.value  # per-location filter: nothing reads it
+        del IntListElem(2).next  # refcount filter: unreferenced, uncounted
+        with pytest.raises(AttributeError):
+            del head.missing  # a deletion that raises logs nothing
+        assert state.barrier_counters() == {
+            "barrier_logged": 0,
+            "barrier_filtered": 2,
+            "barrier_coalesced": 0,
+            "barrier_location_filtered": 1,
+        }
+        assert engine.run(head) is is_ordered(head) is True
 
 
 class TestBarrierCounters:

@@ -98,12 +98,12 @@ class TestRunner:
         assert [s for s, _ in series] == [10, 20]
 
     def test_crossover_exists_for_ordered_list(self):
-        result = find_crossover(
-            "ordered_list", mods=200, lo=4, hi=500, repeats=1
-        )
+        result = find_crossover("ordered_list", mods=200, lo=4, hi=500)
         # With the paper's measurement protocol (many modifications per
         # instantiation) DITTO wins well below 500 elements; the exact
-        # crossover varies by machine.
+        # crossover varies by machine.  Each probe keeps the best of the
+        # default three timings: a single timing lost the n=500 probe on
+        # a loaded 2-core host.
         assert result.crossover_size is not None
         assert result.crossover_size <= 500
         assert result.probes

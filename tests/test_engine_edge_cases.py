@@ -10,9 +10,11 @@ import pytest
 
 from repro import (
     DittoEngine,
+    EngineBusyError,
     TrackedArray,
     TrackedObject,
     check,
+    register_pure_helper,
     tracking_state,
 )
 from repro.bench.runner import run_with_big_stack
@@ -147,33 +149,40 @@ class TestRecursionLimitScope:
         another thread, starts under A's raised limit and is still on its
         way down a list deeper than the caller's limit allows when A
         returns.  Both runs succeed, and only the last run out puts the
-        caller's limit back."""
+        caller's limit back.  A pure helper the check calls at every
+        element parks each run at the right moment."""
+        depth = 1200
+        a_inside = threading.Event()
+        b_deep = threading.Event()
+        a_returned = threading.Event()
+
+        @register_pure_helper
+        def hold(position):
+            # A parks on its first element until B is deep; B parks near
+            # the bottom of its list until A has returned.
+            name = threading.current_thread().name
+            if name == "run-a" and not a_inside.is_set():
+                a_inside.set()
+                assert b_deep.wait(10)
+            elif (
+                name == "run-b"
+                and position >= depth - 100
+                and not b_deep.is_set()
+            ):
+                b_deep.set()
+                assert a_returned.wait(10)
+            return 1
 
         @check
         def deep_count(e):
             if e is None:
                 return 0
-            return 1 + deep_count(e.next)
+            return hold(e.value) + deep_count(e.next)
 
-        depth = 1200
         deep_head = None
-        for _ in range(depth):
-            deep_head = Elem(0, deep_head)
-        short_head = Elem(0, Elem(0))
-        a_inside = threading.Event()
-        b_deep = threading.Event()
-        a_returned = threading.Event()
-
-        def hold_a(engine):
-            if not a_inside.is_set():
-                a_inside.set()
-                assert b_deep.wait(10)
-
-        def hold_b(engine):
-            if engine.steps >= depth - 100 and not b_deep.is_set():
-                b_deep.set()
-                assert a_returned.wait(10)
-
+        for position in reversed(range(depth)):
+            deep_head = Elem(position, deep_head)
+        short_head = Elem(0, Elem(1))
         results = {}
 
         def run_a():
@@ -200,16 +209,10 @@ class TestRecursionLimitScope:
             # The list is too deep for the caller's limit on its own.
             with pytest.raises(RecursionError):
                 engine_factory(deep_count).run(deep_head)
-            engine_a = engine_factory(
-                deep_count, recursion_limit=20_000, step_hook=hold_a,
-                step_hook_interval=1,
-            )
-            engine_b = engine_factory(
-                deep_count, recursion_limit=20_000, step_hook=hold_b,
-                step_hook_interval=1,
-            )
-            threads = [threading.Thread(target=run_a),
-                       threading.Thread(target=run_b)]
+            engine_a = engine_factory(deep_count, recursion_limit=20_000)
+            engine_b = engine_factory(deep_count, recursion_limit=20_000)
+            threads = [threading.Thread(target=run_a, name="run-a"),
+                       threading.Thread(target=run_b, name="run-b")]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -218,6 +221,81 @@ class TestRecursionLimitScope:
             assert sys.getrecursionlimit() == 1500
         finally:
             sys.setrecursionlimit(saved)
+
+
+class TestBusyGuard:
+    """``run()`` is single-threaded by contract: a run started while
+    another is live on the same engine fails fast with
+    ``EngineBusyError`` and leaves the live run unharmed.  A pure helper
+    the check calls lets each test act from inside a running check."""
+
+    def test_check_inside_a_running_check_raises_engine_busy(
+        self, engine_factory
+    ):
+        caught = []
+
+        @register_pure_helper
+        def reenter(value):
+            if not caught:
+                try:
+                    engine.run(head)
+                except EngineBusyError as exc:
+                    caught.append(exc)
+            return value
+
+        @check
+        def reentrant_ordered(e):
+            if e is None or e.next is None:
+                return True
+            if reenter(e.value) > e.next.value:
+                return False
+            return reentrant_ordered(e.next)
+
+        head = Elem(1, Elem(2, Elem(3)))
+        engine = engine_factory(reentrant_ordered)
+        assert engine.run(head) is True
+        assert len(caught) == 1, (
+            "the nested run must fail fast with EngineBusyError"
+        )
+        head.next.value = 5  # the outer run was unharmed: repair works
+        assert engine.run(head) is reentrant_ordered(head) is False
+
+    def test_concurrent_runs_on_one_engine_fail_fast_not_corrupt(
+        self, engine_factory
+    ):
+        started, release = threading.Event(), threading.Event()
+
+        @register_pure_helper
+        def wedge(value):
+            if threading.current_thread().name == "first-run":
+                started.set()
+                assert release.wait(5)
+            return value
+
+        @check
+        def wedged_ordered(e):
+            if e is None or e.next is None:
+                return True
+            if wedge(e.value) > e.next.value:
+                return False
+            return wedged_ordered(e.next)
+
+        head = Elem(1, Elem(2, Elem(3)))
+        engine = engine_factory(wedged_ordered)
+        outcome = []
+        first = threading.Thread(
+            target=lambda: outcome.append(engine.run(head)),
+            name="first-run",
+        )
+        first.start()
+        assert started.wait(5), "first run never reached its helper"
+        with pytest.raises(EngineBusyError):
+            engine.run(head)
+        release.set()
+        first.join(5)
+        assert not first.is_alive()
+        assert outcome == [True]
+        assert engine.run(head) is True
 
 
 class TestDepthParity:

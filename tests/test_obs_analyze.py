@@ -1,15 +1,15 @@
 """Offline analyzer: document classification, summaries, bench-history
-gating, and the acceptance path — a chaos-produced flight artifact read
-back and summarized by ``python -m repro.obs analyze``.
+gating, and the acceptance path — the flight artifact of a real scratch
+fallback read back and summarized by ``python -m repro.obs analyze``.
 """
 
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
+from repro.obs import FlightRecorder
 from repro.obs.analyze import (
     analyze,
     diff_bench,
@@ -20,6 +20,7 @@ from repro.obs.analyze import (
     summarize_regression,
     summarize_trace,
 )
+from repro.structures import OrderedIntList, is_ordered
 
 BENCH = {
     "benchmark": "serving",
@@ -41,8 +42,6 @@ class TestClassification:
                              "repair_profile"),
             "report.json": ({"kind": "regression_report"},
                             "regression_report"),
-            "chaos.json": ({"divergences": [], "faults_injected": {}},
-                           "chaos"),
             "BENCH_x.json": (BENCH, "bench"),
             "chrome.json": ({"traceEvents": []}, "chrome_trace"),
             "other.json": ({"hello": 1}, "unknown"),
@@ -214,40 +213,27 @@ class TestCli:
 
 
 class TestAcceptance:
-    def test_chaos_flight_artifact_reads_back(self, capsys, tmp_path):
-        """Forced deadline abort in the chaos/pool stack produces a
-        flight artifact the analyzer summarizes."""
-        from repro.qa.models import get_model
-        from repro.serving.pool import EnginePool, PoolConfig
-
-        model = get_model("ordered_list")
-        pool = EnginePool(PoolConfig(
-            shards=1, workers=1, deadline=0.01, on_deadline="degrade",
-            step_hook_interval=1, flight_dir=str(tmp_path),
-        ))
-        try:
-            pool.register("t", model.entry)
-            structure = model.fresh()
-            import random
-            rng = random.Random(0)
-            for _ in range(5):
-                for op in model.random_ops(rng):
-                    if op.name != "check":
-                        pool.mutate("t", model.apply, structure, op)
-            pool.engine("t").invalidate()
-            pool.set_step_probe("t", lambda: time.sleep(0.002))
-            try:
-                result = pool.check(
-                    "t", *model.check_args(structure), deadline=0.005
-                )
-            finally:
-                pool.set_step_probe("t", None)
-        finally:
-            pool.close()
-        assert result.flight_dump is not None
-        assert analyze([result.flight_dump]) == 0
+    def test_step_limit_fallback_artifact_reads_back(
+        self, capsys, engine_factory, tmp_path
+    ):
+        """A real engine fault writes a flight artifact the analyzer
+        summarizes: a tight step limit forces a scratch fallback, and the
+        recorder's next observation dumps it."""
+        engine = engine_factory(is_ordered, step_limit=1)
+        recorder = FlightRecorder(str(tmp_path), name="t0").attach(engine)
+        lst = OrderedIntList()
+        for value in range(0, 40, 2):
+            lst.insert(value)
+        assert engine.run(lst.head) is True  # full runs are never limited
+        assert recorder.observe() is None
+        lst.insert(21)
+        assert engine.run(lst.head) is is_ordered(lst.head) is True
+        assert engine.stats.fallback_reasons == {"step_limit": 1}
+        path = recorder.observe()
+        assert path is not None
+        assert analyze([path]) == 0
         out = capsys.readouterr().out
         assert "[flight_dump]" in out
-        assert "trigger: deadline_abort" in out
+        assert "trigger: scratch_fallback" in out
         assert "black box:" in out
         assert "is_ordered" in out

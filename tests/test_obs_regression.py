@@ -1,5 +1,5 @@
 """Continuous regression detection: EWMA streaks, frozen-p99
-corroboration, emission into sinks/metrics, and the pool wiring.
+corroboration, and emission into sinks/metrics.
 """
 
 from __future__ import annotations
@@ -171,29 +171,6 @@ class TestValidationAndIntrospection:
         assert det.samples_seen == 2000
         assert det.baseline("c")["samples"] == 2000
         assert list(det.alerts) == []  # constant latency: no alerts
-
-
-class TestPoolWiring:
-    def test_pool_feeds_service_time(self, tmp_path):
-        from repro.qa.models import get_model
-        from repro.serving.pool import EnginePool, PoolConfig
-
-        model = get_model("ordered_list")
-        det = RegressionDetector(min_samples=2, consecutive=1, window=8)
-        pool = EnginePool(
-            PoolConfig(shards=1, workers=1), regression=det
-        )
-        try:
-            pool.register("t", model.entry)
-            structure = model.fresh()
-            for _ in range(5):
-                result = pool.check("t", *model.check_args(structure))
-                assert result.status == "ok"
-        finally:
-            pool.close()
-        base = det.baseline(model.entry.name)
-        assert base is not None
-        assert base["samples"] == 5
 
 
 class TestAlertRecord:

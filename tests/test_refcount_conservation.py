@@ -42,7 +42,6 @@ from repro.apps.netcols import NetcolsBot, NetcolsGame, netcols_invariant
 from repro.core import MemoTable
 from repro.core.argkeys import ArgsKey
 from repro.core.locations import FieldLocation
-from repro.core.tracked import tracking_state
 from repro.obs import RingBufferSink
 from repro.structures.red_black_tree import RedBlackTree, rbt_invariant
 
@@ -372,8 +371,8 @@ def box_reader(n):
     return True
 
 
-def _table_with_box_readers(tracking):
-    table = MemoTable(tracking)
+def _table_with_box_readers():
+    table = MemoTable()
     box = CoarseBox()
     nodes = [
         table.get_or_create(box_reader, ArgsKey((i,)))[0] for i in range(4)
@@ -386,29 +385,23 @@ def _table_with_box_readers(tracking):
     return table, box, nodes
 
 
-@pytest.mark.parametrize("tracked_domain", [False, True])
 class TestCoarseDuckContainer:
-    def _table(self, tracked_domain):
-        return _table_with_box_readers(
-            tracking_state() if tracked_domain else None
-        )
-
-    def test_record_and_clear_implicits(self, tracked_domain):
-        table, box, nodes = self._table(tracked_domain)
+    def test_record_and_clear_implicits(self):
+        table, box, nodes = _table_with_box_readers()
         assert box.refs == 8
         table.clear_implicits(nodes[0])
         assert box.refs == 6
         assert table.reverse_map_size() == 2
 
-    def test_prune_releases(self, tracked_domain):
-        table, box, nodes = self._table(tracked_domain)
+    def test_prune_releases(self):
+        table, box, nodes = _table_with_box_readers()
         table.add_edge(nodes[0], nodes[1])
         removed = table.prune(nodes[0])
         assert set(removed) == {nodes[0], nodes[1]}
         assert box.refs == 4
 
-    def test_batched_clear_releases_through_coarse_hook(self, tracked_domain):
-        table, box, nodes = self._table(tracked_domain)
+    def test_batched_clear_releases_through_coarse_hook(self):
+        table, box, nodes = _table_with_box_readers()
         decrefs = []
         release = box._ditto_decref
 
