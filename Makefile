@@ -26,6 +26,7 @@ examples:
 	$(PYTHON) examples/data_breakpoints.py
 	$(PYTHON) examples/iterative_to_recursive.py
 	$(PYTHON) examples/graph_inspection.py
+	$(PYTHON) examples/profiling_trace.py
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .benchmarks

@@ -5,8 +5,9 @@ One ordered list, one engine, three observability layers at once:
 * a :class:`ChromeTraceSink` records every run phase as a span — load the
   written file in Perfetto (https://ui.perfetto.dev) to see the repairs
   as a flame of ``barrier_drain``/``dirty_mark``/``exec``/... blocks;
-* :class:`EngineMetrics` feeds a Prometheus-exportable registry with the
-  repair-latency and dirtied-nodes histograms;
+* :meth:`DittoEngine.run_with_report` returns each check's
+  :class:`RunReport`, whose counter deltas say what that one run did;
+  the engine's phase timers say where the repair time went;
 * the provenance recorder answers "why did the last run re-execute those
   nodes?" via :func:`explain_last_run`.
 
@@ -19,7 +20,6 @@ import sys
 from repro import (
     ChromeTraceSink,
     DittoEngine,
-    EngineMetrics,
     enable_provenance,
     explain_last_run,
 )
@@ -38,17 +38,16 @@ def main(ops: int) -> None:
 
     sink = ChromeTraceSink(TRACE_PATH)
     engine = DittoEngine(is_ordered, trace_sink=sink)
-    metrics = EngineMetrics(engine)
     enable_provenance(engine)
 
     report = engine.run_with_report(lst.head)  # initial graph build
-    metrics.record_run(report)
     print(f"initial check over {len(lst)} elements: "
           f"{report.duration * 1000:.2f} ms, "
           f"graph of {report.graph_size} nodes")
 
     rng = random.Random(7)
     values = list(range(0, 600, 2))
+    deltas = []  # one RunReport.delta per incremental check
     for _ in range(ops):
         if rng.random() < 0.6 or not values:
             v = rng.randrange(1200)
@@ -58,7 +57,18 @@ def main(ops: int) -> None:
             lst.delete(values.pop(rng.randrange(len(values))))
         report = engine.run_with_report(lst.head)
         assert report.result is True
-        metrics.record_run(report)
+        deltas.append(report.delta)
+
+    print(f"\nwhat did each incremental check do? per-run counter deltas "
+          f"over {ops} checks:")
+    print(f"  {'counter':<18} {'last':>6} {'median':>6} {'max':>6} "
+          f"{'total':>7}")
+    for name in engine.stats.COUNTER_FIELDS:
+        per_run = sorted(delta[name] for delta in deltas)
+        if any(per_run):
+            print(f"  {name:<18} {deltas[-1][name]:>6} "
+                  f"{per_run[len(per_run) // 2]:>6} {per_run[-1]:>6} "
+                  f"{sum(per_run):>7}")
 
     print(f"\nwhere did repair time go over {ops} incremental checks?")
     print(format_phase_breakdown(
@@ -72,16 +82,6 @@ def main(ops: int) -> None:
         handle.write(explanation.dot())
     print(f"\nprovenance graph written to {DOT_PATH} "
           f"(render with: dot -Tpng {DOT_PATH} -o provenance.png)")
-
-    text = metrics.to_prometheus_text()
-    latency_lines = [
-        line for line in text.splitlines()
-        if line.startswith("ditto_run_duration_seconds")
-    ]
-    print(f"\nPrometheus scrape: {len(text.splitlines())} lines; "
-          f"the repair-latency histogram:")
-    for line in latency_lines:
-        print(f"  {line}")
 
     engine.close()
     sink.close()

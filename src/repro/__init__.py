@@ -5,7 +5,7 @@ invariant checks: it rewrites a recursive check so that each invocation only
 re-examines the parts of the structure modified since the last check,
 reusing cached results (optimistically) for everything else.
 
-Public API in three layers:
+Public API, by layer:
 
 * ``repro.check`` / ``repro.DittoEngine`` — mark check functions and build
   an incrementalizer for an entry point.
@@ -14,9 +14,9 @@ Public API in three layers:
 * ``repro.structures`` / ``repro.apps`` — ready-made structures, invariants,
   and the paper's two sample applications (Netcols, JSO).
 * ``repro.obs`` — observability: trace sinks (``trace_sink=`` engine
-  option), a Prometheus-exportable metrics registry, and the
-  repair-provenance explainer (``enable_provenance`` /
-  ``explain_last_run``).
+  option), the repair-provenance explainer (``enable_provenance`` /
+  ``explain_last_run``), the repair-cost profiler and the flight
+  recorder.
 * ``repro.lint`` — whole-program soundness analysis: interprocedural
   check admissibility and write-barrier bypass detection
   (``python -m repro.lint``, ``engine.lint()``, ``lint_paths``).
@@ -93,9 +93,7 @@ from .resilience import (
 from .lint import Diagnostic, LintReport, lint_paths
 from .obs import (
     ChromeTraceSink,
-    EngineMetrics,
     JsonlSink,
-    MetricsRegistry,
     NullSink,
     RingBufferSink,
     TraceSink,
@@ -121,7 +119,6 @@ __all__ = [
     "DittoError",
     "enable_provenance",
     "EngineBusyError",
-    "EngineMetrics",
     "EngineStateError",
     "EngineStats",
     "explain_last_run",
@@ -140,7 +137,6 @@ __all__ = [
     "JsonlSink",
     "lint_paths",
     "LintReport",
-    "MetricsRegistry",
     "NullSink",
     "OptimisticMispredictionError",
     "recursify",

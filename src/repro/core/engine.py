@@ -38,6 +38,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+import weakref
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..instrument.registry import CheckFunction, check as as_check, closure_of
@@ -62,7 +63,7 @@ from .memo_table import MemoTable
 from .node import ComputationNode
 from .order_maintenance import OrderList
 from .stats import PHASES, EngineStats, RunReport
-from .tracked import tracking_state
+from .tracked import TrackingState, tracking_state
 from ..obs.trace import NullSink, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,6 +137,25 @@ class _RecursionLimitScope:
 
 
 _RECURSION_SCOPE = _RecursionLimitScope()
+
+
+def _release(
+    table: MemoTable,
+    order: OrderList,
+    tracking: TrackingState,
+    log_cid: int,
+    fields: frozenset,
+) -> None:
+    """Give back what an engine holds in the shared tracking state: its
+    graph's reference counts, its write-log cursor and its monitored
+    fields.  The engine's finalizer: :meth:`DittoEngine.close` calls it,
+    and so does the collection of an engine dropped unclosed.  A
+    collection can fire inside another engine's run or inside a barrier,
+    so it does these four steps and nothing more."""
+    table.clear()
+    order.clear()
+    tracking.write_log.unregister(log_cid)
+    tracking.unmonitor_fields(fields)
 
 
 class DittoEngine:
@@ -266,6 +286,14 @@ class DittoEngine:
             self.monitored_fields = frozenset(fields)
         self.tracking.monitor_fields(self.monitored_fields)
         self._log_cid = self.tracking.write_log.register()
+        # Holds what it releases, never the engine: a dropped engine stays
+        # collectable and gives its share back when it is collected.  At
+        # interpreter exit there is no one left to give it back to.
+        self._finalizer = weakref.finalize(
+            self, _release, self.table, self.order, self.tracking,
+            self._log_cid, self.monitored_fields,
+        )
+        self._finalizer.atexit = False
 
         # Execution state the compiled closures close over (the stack list
         # is pre-bound by them and must exist before compile).
@@ -462,12 +490,21 @@ class DittoEngine:
         self.tracking.write_log.consume(self._log_cid)
 
     def close(self) -> None:
-        """Release global tracking resources held by this engine."""
+        """Detach the profiler and release what this engine holds in the
+        shared tracking state: its graph's reference counts, its write-log
+        cursor and its monitored fields.
+
+        An engine dropped without ``close()`` releases the same things
+        when it is collected.  The engine is a reference cycle through its
+        compiled closures, so that happens at the next cyclic collection
+        (``gc.collect()`` or the collector's own schedule), not when the
+        last reference goes."""
         if self._closed:
             return
+        if self.profiler is not None:
+            self.profiler.detach(self)
         self.invalidate()
-        self.tracking.write_log.unregister(self._log_cid)
-        self.tracking.unmonitor_fields(self.monitored_fields)
+        self._finalizer()
         self._closed = True
 
     def __enter__(self) -> "DittoEngine":

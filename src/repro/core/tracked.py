@@ -134,6 +134,11 @@ class WriteLog:
     def __init__(self) -> None:
         self._entries: list[Location] = []
         self._cursors: dict[int, int] = {}
+        #: The largest cursor (0 with no consumer).  :meth:`append` reads
+        #: it without building an object, so no collection (and no engine
+        #: finalizer, which calls :meth:`unregister`) can run between its
+        #: dedup test and the append that test guards.
+        self._max_cursor = 0
         self._next_cid = 0
         self._last_pos: dict[Location, int] = {}
         #: Lifetime count of barrier events offered to the log (after the
@@ -156,11 +161,12 @@ class WriteLog:
         by that run from scratch anyway)."""
         cid = self._next_cid
         self._next_cid += 1
-        self._cursors[cid] = len(self._entries)
+        self._cursors[cid] = self._max_cursor = len(self._entries)
         return cid
 
     def unregister(self, cid: int) -> None:
         self._cursors.pop(cid, None)
+        self._max_cursor = max(self._cursors.values(), default=0)
         self._compact()
 
     def append(self, location: Location) -> None:
@@ -174,7 +180,7 @@ class WriteLog:
         if type(location) is RangeLocation:
             self.coalesced += location.stop - location.start
         last = self._last_pos.get(location)
-        if last is not None and last >= max(self._cursors.values()):
+        if last is not None and last >= self._max_cursor:
             return
         self._last_pos[location] = len(self._entries)
         self._entries.append(location)
@@ -183,7 +189,7 @@ class WriteLog:
         """Return locations logged since consumer ``cid`` last consumed."""
         start = self._cursors[cid]
         pending = self._entries[start:]
-        self._cursors[cid] = len(self._entries)
+        self._cursors[cid] = self._max_cursor = len(self._entries)
         self._compact()
         return pending
 
@@ -203,6 +209,7 @@ class WriteLog:
             self._last_pos.clear()
             for cid in self._cursors:
                 self._cursors[cid] = 0
+            self._max_cursor = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -298,7 +305,7 @@ class TrackingState:
         return frozenset(self._monitored_fields)
 
     def barrier_counters(self) -> dict[str, int]:
-        """The barrier throughput counters, for the metrics bridge."""
+        """The barrier throughput counters, by name."""
         return {
             "barrier_logged": self.write_log.logged,
             "barrier_filtered": self.barrier_filtered,

@@ -1,6 +1,6 @@
-"""Observability for the DITTO engine: tracing, metrics, provenance.
+"""Observability for the DITTO engine: tracing, provenance, profiling.
 
-Three sub-layers, all near-zero-cost until attached:
+Four sub-layers, all near-zero-cost until attached:
 
 * :mod:`repro.obs.trace` / :mod:`repro.obs.sinks` — structured trace
   sinks.  Attach a sink (``DittoEngine(..., trace_sink=...)`` or
@@ -9,11 +9,6 @@ Three sub-layers, all near-zero-cost until attached:
   ``retry``, ``fallback``, ``audit``, ``verify``) plus instants for node
   re-executions, reuses, mispredictions, and degradation episodes.
   :class:`ChromeTraceSink` output loads directly in Perfetto.
-
-* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry with
-  Prometheus text export; :class:`EngineMetrics` mirrors ``EngineStats``
-  and feeds the paper-relevant histograms (repair latency, dirtied nodes
-  per run, graph size).
 
 * :mod:`repro.obs.provenance` — the "why did this re-execute?" recorder:
   :func:`enable_provenance` + :func:`explain_last_run` render the chain
@@ -31,10 +26,6 @@ Three sub-layers, all near-zero-cost until attached:
   self-contained JSON artifact when something goes wrong (scratch
   fallback, QA divergence).
 
-* :mod:`repro.obs.regression` — continuous regression detection: rolling
-  EWMA and frozen-p99 baselines per check, emitting
-  :class:`RegressionAlert` events when repair latency drifts.
-
 ``python -m repro.obs analyze`` (:mod:`repro.obs.analyze`) reads every
 artifact the layer writes back in, summarizes it, and gates committed
 ``BENCH_*.json`` history against drift.
@@ -50,16 +41,6 @@ from .trace import (
     TraceSink,
 )
 from .sinks import ChromeTraceSink, JsonlSink, validate_chrome_trace
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
-    Counter,
-    EngineMetrics,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    parse_prometheus_text,
-)
 from .provenance import (
     RunExplanation,
     RunRecord,
@@ -70,29 +51,18 @@ from .provenance import (
 )
 from .profiler import RepairProfiler, disable_profiling, enable_profiling
 from .flight import TRIGGER_REASONS, FlightRecorder
-from .regression import RegressionAlert, RegressionDetector
 
 __all__ = [
     "ChromeTraceSink",
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_SIZE_BUCKETS",
     "disable_profiling",
     "disable_provenance",
     "enable_profiling",
     "enable_provenance",
-    "EngineMetrics",
     "explain_last_run",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
     "INSTANT_NAMES",
     "JsonlSink",
-    "MetricsRegistry",
     "NullSink",
-    "parse_prometheus_text",
-    "RegressionAlert",
-    "RegressionDetector",
     "RepairProfiler",
     "RingBufferSink",
     "RunExplanation",

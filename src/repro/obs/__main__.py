@@ -1,10 +1,10 @@
 """CLI for the observability layer.
 
 ``python -m repro.obs analyze`` reads back the artifacts the layer
-writes — flight-recorder dumps, repair profiles, regression reports,
-JSONL traces, and committed ``BENCH_*.json`` history —
-summarizes them, and (with ``--against``/``--gate``) fails the build on
-benchmark drift.  See :mod:`repro.obs.analyze`.
+writes — flight-recorder dumps, repair profiles, JSONL traces, and
+committed ``BENCH_*.json`` history — summarizes them, and (with
+``--against``/``--gate``) fails the build on benchmark drift.  See
+:mod:`repro.obs.analyze`.
 """
 
 from __future__ import annotations

@@ -7,8 +7,6 @@ the observability layer writes to disk:
   triggered, the run ring leading up to it, the trace tail;
 * **repair profiles** (``kind: "repair_profile"``) — top mutation sites
   and per-check attribution, re-rendered from the JSON export;
-* **regression reports** (``kind: "regression_report"``) — baselines and
-  the alert log;
 * **BENCH_*.json records** — diffed against the committed history with
   ``--against benchmarks`` and gated with ``--gate``: a watched metric
   drifting past ``--threshold`` (default 1.5x) fails the build.  The
@@ -52,9 +50,8 @@ UNGATED = (
 
 def load_document(path: str) -> tuple[str, Any]:
     """Classify ``path`` and load it.  Returns ``(kind, payload)`` where
-    kind is one of ``flight_dump`` / ``repair_profile`` /
-    ``regression_report`` / ``bench`` / ``trace_jsonl`` /
-    ``chrome_trace`` / ``unknown``."""
+    kind is one of ``flight_dump`` / ``repair_profile`` / ``bench`` /
+    ``trace_jsonl`` / ``chrome_trace`` / ``unknown``."""
     if path.endswith(".jsonl"):
         return "trace_jsonl", _load_jsonl(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -70,7 +67,7 @@ def load_document(path: str) -> tuple[str, Any]:
             return "trace_jsonl", _load_jsonl_handle(fh)
     if isinstance(doc, dict):
         kind = doc.get("kind")
-        if kind in ("flight_dump", "repair_profile", "regression_report"):
+        if kind in ("flight_dump", "repair_profile"):
             return kind, doc
         if "benchmark" in doc:
             return "bench", doc
@@ -158,32 +155,6 @@ def summarize_profile(doc: dict) -> str:
                 f"    {site['site']}: {site['induced_execs']} induced "
                 f"exec(s), {site['mutations']} mutation(s)"
             )
-    return "\n".join(lines)
-
-
-def summarize_regression(doc: dict) -> str:
-    alerts = doc.get("alerts", [])
-    lines = [
-        f"regression report: {doc.get('samples_seen', 0)} sample(s), "
-        f"{len(alerts)} alert(s)"
-    ]
-    for base in doc.get("baselines", []):
-        ewma = base.get("ewma_s")
-        p99 = base.get("frozen_p99_s")
-        lines.append(
-            f"  {base['check']}: {base['samples']} sample(s), "
-            f"ewma {ewma * 1000:.3f}ms" if ewma is not None
-            else f"  {base['check']}: {base['samples']} sample(s)"
-        )
-        if p99 is not None:
-            lines[-1] += f", frozen p99 {p99 * 1000:.3f}ms"
-    for alert in alerts[-5:]:
-        lines.append(
-            f"  ALERT [{alert['kind']}] {alert['check']}: "
-            f"{alert['observed_s'] * 1000:.3f}ms vs baseline "
-            f"{alert['baseline_s'] * 1000:.3f}ms "
-            f"({alert['ratio']:.2f}x at sample {alert['samples']})"
-        )
     return "\n".join(lines)
 
 
@@ -309,8 +280,8 @@ def analyze(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "paths", nargs="*",
-        help="artifacts: flight dumps, repair profiles, regression "
-             "reports, BENCH_*.json, *.jsonl traces",
+        help="artifacts: flight dumps, repair profiles, BENCH_*.json, "
+             "*.jsonl traces",
     )
     parser.add_argument(
         "--against", metavar="DIR", default=None,
@@ -341,7 +312,7 @@ def analyze(argv: Optional[list] = None) -> int:
         print(f"--threshold must exceed 1.0, got {args.threshold}")
         return 2
 
-    record: dict[str, Any] = {"documents": [], "drifts": [], "alerts": 0}
+    record: dict[str, Any] = {"documents": [], "drifts": []}
     exit_code = 0
 
     for path in args.paths:
@@ -357,10 +328,6 @@ def analyze(argv: Optional[list] = None) -> int:
             print(summarize_flight_dump(doc))
         elif kind == "repair_profile":
             print(summarize_profile(doc))
-        elif kind == "regression_report":
-            alerts = doc.get("alerts", [])
-            record["alerts"] += len(alerts)
-            print(summarize_regression(doc))
         elif kind == "trace_jsonl":
             print(summarize_trace(doc))
         elif kind == "chrome_trace":

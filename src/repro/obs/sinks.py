@@ -227,7 +227,8 @@ def validate_chrome_trace(
     must be engine phases (:data:`~repro.obs.trace.SPAN_NAMES`) and
     instant (``"i"``) names must be registered instants
     (:data:`~repro.obs.trace.INSTANT_NAMES`, which includes the
-    ``profile_sample`` / ``flight_dump`` / ``regression_alert`` events).
+    profiler's ``profile_sample`` and the flight recorder's
+    ``flight_dump`` events).
     CI runs this over the soak trace so an event added without updating
     the registry fails the build."""
     problems: list[str] = []

@@ -40,9 +40,7 @@ SPAN_NAMES: frozenset[str] = frozenset(PHASES)
 #: * profiler (:mod:`repro.obs.profiler`) — ``profile_sample``, one per
 #:   recorded run;
 #: * flight recorder (:mod:`repro.obs.flight`) — ``flight_dump``, one per
-#:   triggered artifact;
-#: * regression detector (:mod:`repro.obs.regression`) —
-#:   ``regression_alert``, one per breached baseline.
+#:   triggered artifact.
 INSTANT_NAMES: frozenset[str] = frozenset(
     {
         "barrier_drain",
@@ -53,7 +51,6 @@ INSTANT_NAMES: frozenset[str] = frozenset(
         "degradation",
         "profile_sample",
         "flight_dump",
-        "regression_alert",
     }
 )
 

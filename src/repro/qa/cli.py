@@ -14,22 +14,23 @@ and written to ``--artifacts`` (default ``qa_artifacts/``) as both a
 replay file and a runnable Python snippet; the exit status is 1.
 
 ``--trace FILE`` attaches a Chrome trace-event sink to the incremental
-engines (load the output in Perfetto); ``--metrics`` prints the oracle's
-Prometheus counters when the run ends.
+engines (load the output in Perfetto); ``--metrics`` ends the output with
+one JSON line of the run's totals: ``traces``, ``ops``, ``checks``,
+``divergences`` and ``seconds`` (summed over the replayed traces).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from typing import Optional, Sequence
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.sinks import ChromeTraceSink
 from .generator import TraceGenerator
 from .models import model_names
-from .oracle import Oracle
+from .oracle import Oracle, OracleReport
 from .replay import format_report, write_reproducer
 from .shrinker import Shrinker
 from .trace import FAULT_KINDS, Trace
@@ -133,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="print the oracle's Prometheus metrics on exit",
+        help="end with one JSON line of the run's totals (traces, ops, "
+        "checks, divergences, seconds)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list registered structures"
@@ -152,24 +154,33 @@ def _structures(args: argparse.Namespace) -> list[str]:
     return list(dict.fromkeys(chosen))
 
 
+def _totals(reports: list[OracleReport]) -> dict[str, float]:
+    """The ``--metrics`` line: the replayed traces' reports, summed."""
+    return {
+        "traces": len(reports),
+        "ops": sum(r.ops_applied for r in reports),
+        "checks": sum(r.checks_run for r in reports),
+        "divergences": sum(len(r.divergences) for r in reports),
+        "seconds": round(sum(r.duration for r in reports), 6),
+    }
+
+
 def _fuzz_one(
     name: str,
     seed: int,
     args: argparse.Namespace,
     oracle: Oracle,
-) -> tuple[bool, Optional[Trace]]:
+) -> OracleReport:
     """Generate + replay one trace; shrink and persist on divergence.
-    Returns (diverged, shrunk trace or None)."""
+    Returns the replay's report."""
     generator = TraceGenerator(
         name, seed=seed, op_count=args.ops, check_prob=args.check_prob
     )
     trace = generator.generate(inject=args.inject)
     report = oracle.run(trace)
     print(format_report(report, verbose=args.verbose))
-    if report.ok:
-        return False, None
-    if args.no_shrink:
-        return True, None
+    if report.ok or args.no_shrink:
+        return report
     kind = report.divergences[0].kind
     shrinker = Shrinker(
         trace,
@@ -188,7 +199,7 @@ def _fuzz_one(
     )
     print(f"    {replay_path}")
     print(f"    {snippet_path}")
-    return True, result.trace
+    return report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -198,7 +209,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(name)
         return 0
 
-    metrics = MetricsRegistry()
+    reports: list[OracleReport] = []
     sink = ChromeTraceSink(args.trace, "repro.qa") if args.trace else None
 
     try:
@@ -209,9 +220,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 audit=not args.no_audit,
                 validate=args.validate,
                 trace_sink=sink,
-                metrics=metrics,
             )
             report = oracle.run(trace)
+            reports.append(report)
             print(format_report(report, verbose=args.verbose))
             if args.expect_divergence:
                 if report.ok:
@@ -221,7 +232,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 0
             return 0 if report.ok else 1
 
-        failures = 0
         deadline = (
             time.monotonic() + args.time_budget
             if args.time_budget is not None
@@ -234,11 +244,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 oracle = Oracle(
                     name,
                     audit=not args.no_audit,
+                    validate=args.validate,
                     trace_sink=sink,
-                    metrics=metrics,
                 )
-                diverged, _ = _fuzz_one(name, seed, args, oracle)
-                failures += int(diverged)
+                reports.append(_fuzz_one(name, seed, args, oracle))
                 if deadline is not None and time.monotonic() >= deadline:
                     break
             rounds += 1
@@ -247,10 +256,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed += 1
         if deadline is not None:
             print(f"time budget spent after {rounds} round(s)")
-        return 1 if failures else 0
+        return 0 if all(report.ok for report in reports) else 1
     finally:
         if args.metrics:
-            print(metrics.to_prometheus_text(), end="")
+            print(json.dumps(_totals(reports)))
         if sink is not None:
             sink.close()
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.engine import DittoEngine
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceSink
 from ..resilience.faults import FaultInjector, FaultPlan, inject_faults
 from .models import StructureModel, get_model
@@ -116,7 +115,6 @@ class Oracle:
         validate: bool = False,
         stop_on_divergence: bool = True,
         trace_sink: Optional[TraceSink] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         self.model = get_model(model) if isinstance(model, str) else model
         if "scratch" not in modes or len(modes) < 2:
@@ -131,7 +129,6 @@ class Oracle:
         self.validate = validate
         self.stop_on_divergence = stop_on_divergence
         self.trace_sink = trace_sink
-        self.metrics = metrics
 
     def run(self, trace: Trace) -> OracleReport:
         if trace.structure != self.model.name:
@@ -210,7 +207,6 @@ class Oracle:
             for engine in engines.values():
                 engine.close()
         report.duration = time.perf_counter() - started
-        self._record_metrics(report)
         return report
 
     # Steps. -----------------------------------------------------------------
@@ -286,24 +282,6 @@ class Oracle:
             raise ValueError(f"unknown fault kind {kind!r}")
         injectors.append(inject_faults(target, plan).__enter__())
         report.faults_armed += 1
-
-    def _record_metrics(self, report: OracleReport) -> None:
-        if self.metrics is None:
-            return
-        m = self.metrics
-        m.counter("qa_traces_total", "Traces replayed by the QA oracle").inc()
-        m.counter("qa_ops_total", "Mutation ops applied").inc(
-            report.ops_applied
-        )
-        m.counter("qa_checks_total", "Differential checks executed").inc(
-            report.checks_run
-        )
-        m.counter(
-            "qa_divergences_total", "Divergences across all traces"
-        ).inc(len(report.divergences))
-        m.histogram(
-            "qa_trace_seconds", help="Wall-clock seconds per trace replay"
-        ).observe(report.duration)
 
 
 def replay_trace(trace: Trace, **oracle_options: Any) -> OracleReport:

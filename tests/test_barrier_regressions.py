@@ -164,29 +164,23 @@ class TestAttributeDeletion:
 
 
 class TestBarrierCounters:
-    def test_counters_flow_through_metrics_bridge(self):
-        from repro.obs import EngineMetrics
-
+    def test_counters_flow_through_barrier_counters(self):
         lst = TrackedList(range(50))
         engine = DittoEngine(tail_value)
         try:
-            metrics = EngineMetrics(engine)
             engine.run(lst)
             lst.insert(0, -1)  # coalesced range over 51 slots
             engine.run(lst)
-            metrics.refresh()
-            snap = metrics.registry.snapshot()
             state = tracking_state()
-            assert snap["ditto_barrier_logged_total"] == state.write_log.logged
-            assert snap["ditto_barrier_logged_total"] >= 2
+            counters = state.barrier_counters()
+            assert counters["barrier_logged"] == state.write_log.logged
+            assert counters["barrier_logged"] >= 2
             assert (
-                snap["ditto_barrier_coalesced_total"]
+                counters["barrier_coalesced"]
                 == state.write_log.coalesced
                 == 51
             )
-            assert (
-                snap["ditto_barrier_filtered_total"] == state.barrier_filtered
-            )
+            assert counters["barrier_filtered"] == state.barrier_filtered
         finally:
             engine.close()
 

@@ -5,7 +5,13 @@ classes")."""
 
 from __future__ import annotations
 
-from repro import TrackedObject, check, tracking_state
+import gc
+import weakref
+from collections import Counter
+
+import pytest
+
+from repro import DittoEngine, TrackedObject, check, tracking_state
 
 
 class Elem(TrackedObject):
@@ -101,6 +107,70 @@ class TestMultipleInvariantsOneStructure:
         assert head._ditto.refcount > 0
         b.close()
         assert head._ditto.refcount == 0
+
+
+class TestDroppedEngine:
+    @pytest.mark.parametrize("mode", ["ditto", "naive"])
+    def test_collection_releases_what_close_would(self, engine_factory, mode):
+        """An engine dropped without ``close()`` gives back its log
+        cursor, its reference counts and its monitored fields when the
+        cyclic collector frees it."""
+        head = build_list([1, 2, 3])
+        second, third = head.next, head.next.next
+        survivor = engine_factory(multi_length, mode=mode)  # reads next
+        dropped = DittoEngine(multi_ordered, mode=mode, recursion_limit=None)
+        assert survivor.run(head) == 3
+        assert dropped.run(head) is True
+        gone = weakref.ref(dropped)
+        del dropped
+        gc.collect()
+        assert gone() is None
+        state = tracking_state()
+        for i in range(101):
+            second.next = None if i % 2 == 0 else third
+            assert survivor.run(head) == 2 + i % 2
+            assert len(state.write_log) == 0
+        census = Counter(
+            id(location.container)
+            for node in survivor.table
+            for location in node.implicits
+        )
+        for elem in (head, second, third):
+            header = elem._ditto
+            assert header.refcount == header.locrefs == census[id(elem)]
+        assert census[id(third)] == 0  # detached: only the dropped read it
+        assert survivor.audit(raise_on_failure=False).by_rule(
+            "refcounts"
+        ) == []
+        assert state.monitored_fields == survivor.monitored_fields
+
+    @pytest.mark.parametrize("mode", ["ditto", "naive"])
+    def test_collection_inside_a_barrier_loses_no_write(
+        self, engine_factory, mode
+    ):
+        """The collection that frees a dropped engine can fire inside
+        another engine's barrier, between its dedup test and its append;
+        the release must not drop the write being logged."""
+        head = build_list([1, 2, 3])
+        survivor = engine_factory(multi_ordered, mode=mode)
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
+        gc.disable()  # the dropped engine stays in the youngest generation
+        try:
+            dropped = DittoEngine(
+                multi_ordered, mode=mode, recursion_limit=None
+            )
+            assert survivor.run(head) is dropped.run(head) is True
+            head.value = 0  # logged; only the survivor drains it
+            assert survivor.run(head) is True
+            del dropped
+            gc.set_threshold(1, 1, 1)
+            gc.enable()  # the barrier's first allocation collects
+            head.value = 5  # the same location again: the dedup path
+        finally:
+            gc.set_threshold(*threshold)
+            if not enabled:
+                gc.disable()
+        assert survivor.run(head) is multi_ordered(head) is False
 
 
 class TestMultipleStructures:

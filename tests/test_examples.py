@@ -65,5 +65,6 @@ class TestExamples:
         assert "where did repair time go" in out
         assert "exec" in out
         assert "re-executed" in out  # the provenance explanation
-        assert "ditto_run_duration_seconds_count" in out
+        assert "per-run counter deltas" in out
+        assert "dirty_execs" in out
         assert "valid" in out  # the Chrome trace validated clean

@@ -239,6 +239,32 @@ class TestAttachDetach:
         profiler.detach(b)
         assert b.tracking.mutation_probe is None
 
+    def test_close_detaches(self, engine_factory):
+        """Closing an engine detaches its profiler: the probe stays armed
+        while another engine on the state is attached and is disarmed
+        when the last one closes, so stores read only by an unprofiled
+        engine no longer pay the probe."""
+        profiler = RepairProfiler()
+        lst = _build_list(10)
+        a = engine_factory(is_ordered, profiler=profiler)
+        b = engine_factory(is_ordered, profiler=profiler)
+        reader = engine_factory(is_ordered)
+        for engine in (a, b, reader):
+            assert engine.run(lst.head) is True
+        state = reader.tracking
+        a.close()
+        assert a.profiler is None
+        assert state.mutation_probe is not None
+        b.close()
+        assert b.profiler is None
+        assert state.mutation_probe is None
+        assert state.log_append == state.write_log.append
+        captured = profiler.mutations_captured
+        for i in range(100):
+            lst.head.value = -i - 1
+            assert reader.run(lst.head) is True
+        assert profiler.mutations_captured == captured
+
 
 class TestExports:
     def _profiled_engine(self, engine_factory):

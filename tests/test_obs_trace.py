@@ -270,8 +270,9 @@ class TestNameRegistries:
         assert SPAN_NAMES == frozenset(PHASES)
 
     def test_instant_names_include_observability_events(self):
-        assert {"profile_sample", "flight_dump", "regression_alert",
+        assert {"profile_sample", "flight_dump",
                 "node_exec", "reuse", "misprediction"} <= INSTANT_NAMES
+        assert "regression_alert" not in INSTANT_NAMES
 
 
 class TestChromeTraceSink:

@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, validate_chrome_trace
+from repro import DittoEngine
+from repro.obs import validate_chrome_trace
 from repro.obs.sinks import ChromeTraceSink
 from repro.qa import (
     CHECK_OP,
@@ -171,16 +172,9 @@ class TestFaultDrill:
 
 
 class TestObsIntegration:
-    def test_metrics_emitted(self):
-        registry = MetricsRegistry()
-        trace = TraceGenerator("binary_heap", seed=0, op_count=60).generate()
-        report = Oracle("binary_heap", metrics=registry).run(trace)
-        assert report.ok
-        snapshot = registry.snapshot()
-        assert snapshot["qa_traces_total"] == 1
-        assert snapshot["qa_ops_total"] == report.ops_applied
-        assert snapshot["qa_checks_total"] == report.checks_run
-        assert snapshot["qa_divergences_total"] == 0
+    def test_oracle_has_no_metrics_option(self):
+        with pytest.raises(TypeError):
+            Oracle("binary_heap", metrics=None)
 
     def test_chrome_trace_written_and_valid(self, tmp_path):
         path = tmp_path / "qa_trace.json"
@@ -201,6 +195,49 @@ class TestCli:
         )
         assert code == 0
         assert "skip_list" in capsys.readouterr().out
+
+    def test_metrics_line_totals_the_reports(self, capsys, monkeypatch):
+        """``--metrics`` ends the output with one JSON line: the reports
+        of the replayed traces, summed."""
+        reports = []
+        replay = Oracle.run
+
+        def recording_run(self, trace):
+            report = replay(self, trace)
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(Oracle, "run", recording_run)
+        code = qa_main(
+            [
+                "--seed", "0", "--ops", "60",
+                "--structure", "binary_heap", "--structure", "rope",
+                "--metrics",
+            ]
+        )
+        assert code == 0
+        totals = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert len(reports) == totals["traces"] == 2
+        assert totals["ops"] == sum(r.ops_applied for r in reports)
+        assert totals["checks"] == sum(r.checks_run for r in reports)
+        assert totals["divergences"] == 0
+        assert totals["seconds"] == pytest.approx(
+            sum(r.duration for r in reports), abs=1e-5
+        )
+
+    def test_validate_reaches_the_fuzz_oracle(self, monkeypatch):
+        validated = []
+        monkeypatch.setattr(
+            DittoEngine, "validate", lambda self: validated.append(self.mode)
+        )
+        code = qa_main(
+            [
+                "--seed", "0", "--ops", "60", "--structure", "skip_list",
+                "--validate",
+            ]
+        )
+        assert code == 0
+        assert sorted(validated) == ["ditto", "naive"]
 
     def test_list(self, capsys):
         assert qa_main(["--list"]) == 0
