@@ -1,15 +1,19 @@
 """Profiling a check with repro.obs: where does repair time go?
 
-One ordered list, one engine, three observability layers at once:
+One ordered list, one engine, three observers attached at once (they
+share the engine's one observer slot through a fan-out):
 
 * a :class:`ChromeTraceSink` records every run phase as a span — load the
   written file in Perfetto (https://ui.perfetto.dev) to see the repairs
   as a flame of ``barrier_drain``/``dirty_mark``/``exec``/... blocks;
-* :meth:`DittoEngine.run_with_report` returns each check's
-  :class:`RunReport`, whose counter deltas say what that one run did;
-  the engine's phase timers say where the repair time went;
 * the provenance recorder answers "why did the last run re-execute those
-  nodes?" via :func:`explain_last_run`.
+  nodes?" via :func:`explain_last_run`;
+* the repair profiler answers "which mutation site makes the check
+  slow?" via :meth:`RepairProfiler.report`.
+
+:meth:`DittoEngine.run_with_report` returns each check's
+:class:`RunReport`, whose counter deltas say what that one run did; the
+engine's phase timers say where the repair time went.
 
 Run:  python examples/profiling_trace.py [ops]
 """
@@ -24,7 +28,7 @@ from repro import (
     explain_last_run,
 )
 from repro.bench import format_phase_breakdown
-from repro.obs import validate_chrome_trace
+from repro.obs import enable_profiling, validate_chrome_trace
 from repro.structures import OrderedIntList, is_ordered
 
 TRACE_PATH = "/tmp/ditto_profile_trace.json"
@@ -39,6 +43,7 @@ def main(ops: int) -> None:
     sink = ChromeTraceSink(TRACE_PATH)
     engine = DittoEngine(is_ordered, trace_sink=sink)
     enable_provenance(engine)
+    profiler = enable_profiling(engine)
 
     report = engine.run_with_report(lst.head)  # initial graph build
     print(f"initial check over {len(lst)} elements: "
@@ -82,6 +87,9 @@ def main(ops: int) -> None:
         handle.write(explanation.dot())
     print(f"\nprovenance graph written to {DOT_PATH} "
           f"(render with: dot -Tpng {DOT_PATH} -o provenance.png)")
+
+    print("\nwhich mutation sites made the checks repair?")
+    print(profiler.report(top=3))
 
     engine.close()
     sink.close()

@@ -35,7 +35,6 @@ import json
 import time
 from typing import Any, Optional, Sequence
 
-from ..core.engine import DittoEngine
 from ..obs.profiler import RepairProfiler
 from ..obs.sinks import ChromeTraceSink
 from .runner import find_crossover, measure_modes, measure_soak, sweep
@@ -50,15 +49,15 @@ from .workloads import get_workload
 
 
 def _engine_options(args: argparse.Namespace) -> dict[str, Any]:
-    """Engine kwargs shared by every experiment: the ``--trace`` sink and
-    the ``--profile`` attribution profiler."""
+    """Engine options shared by every experiment: the ``--trace`` sink and
+    the ``--profile`` attribution profiler (see ``runner.make_engine``)."""
     options: dict[str, Any] = {}
     sink = getattr(args, "trace_sink", None)
     if sink is not None:
         options["trace_sink"] = sink
     profiler = getattr(args, "profiler", None)
     if profiler is not None:
-        options["profiler"] = profiler
+        options["observers"] = [profiler]
     return options
 
 #: Figure 11 structures and their paper-reported crossovers.
@@ -283,9 +282,8 @@ def cmd_overhead(args: argparse.Namespace) -> dict[str, Any]:
     """Space overhead of the incrementalization data structures (§5.1.1
     mentions "some baseline overhead due to write barriers and the
     incrementalization data structures that have to be maintained")."""
-    from ..core.engine import DittoEngine
     from ..debug import graph_stats
-    from .runner import run_with_big_stack
+    from .runner import make_engine, run_with_big_stack
     from .workloads import get_workload
 
     sizes = (100, 400) if args.quick else (100, 400, 1600)
@@ -298,7 +296,7 @@ def cmd_overhead(args: argparse.Namespace) -> dict[str, Any]:
 
     def measure(name: str, size: int) -> dict[str, float]:
         workload = get_workload(name, size, seed=args.seed)
-        engine = DittoEngine(workload.entry, **_engine_options(args))
+        engine = make_engine(workload.entry, "ditto", _engine_options(args))
         try:
             engine.run(*workload.check_args())
             stats = graph_stats(engine)

@@ -124,6 +124,17 @@ class CrossoverResult:
     probes: list[tuple[int, float, float]] = field(default_factory=list)
 
 
+def make_engine(entry, mode: str, engine_options: Optional[dict]):
+    """A ``DittoEngine`` with ``engine_options``, whose ``observers`` entry
+    lists observers to attach (``--profile``'s profiler)."""
+    options = dict(engine_options or {})
+    observers = options.pop("observers", ())
+    engine = DittoEngine(entry, mode=mode, **options)
+    for observer in observers:
+        engine.attach(observer)
+    return engine
+
+
 def run_cycle(
     workload: Workload,
     mods: int,
@@ -194,9 +205,7 @@ def _measure_modes_inner(
             # outside the timed region.  Everything at runtime — the
             # initial graph-building check, write barriers, graph
             # maintenance — is timed.
-            engine = DittoEngine(
-                workload.entry, mode=mode, **(engine_options or {})
-            )
+            engine = make_engine(workload.entry, mode, engine_options)
         start = time.perf_counter()
         if engine is not None:
             engine.run(*workload.check_args())  # initial graph build
@@ -254,7 +263,7 @@ def _measure_soak_inner(
     engine_options: Optional[dict],
 ) -> SoakResult:
     workload = get_workload(workload_name, size, seed=seed)
-    engine = DittoEngine(workload.entry, mode=mode, **(engine_options or {}))
+    engine = make_engine(workload.entry, mode, engine_options)
     try:
         start = time.perf_counter()
         engine.run(*workload.check_args())  # initial graph build

@@ -64,11 +64,9 @@ from .node import ComputationNode
 from .order_maintenance import OrderList
 from .stats import PHASES, EngineStats, RunReport
 from .tracked import TrackingState, tracking_state
-from ..obs.trace import NullSink, TraceSink
+from ..obs.trace import NullSink, Observer, TraceSink, fan_out, members
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.profiler import RepairProfiler
-    from ..obs.provenance import RunRecorder
     from ..resilience.auditor import AuditReport
     from ..resilience.degradation import DegradationPolicy
 
@@ -181,7 +179,6 @@ class DittoEngine:
         degradation: Optional["DegradationPolicy"] = None,
         trace_sink: Optional[TraceSink] = None,
         lint: str = "off",
-        profiler: Optional["RepairProfiler"] = None,
     ):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -220,16 +217,12 @@ class DittoEngine:
         self.stats = EngineStats()
         self.table = MemoTable()
         self.order = OrderList()
-        # Observability (repro.obs).  ``tracing`` is the single boolean the
-        # hot paths test: with the default NullSink no event is ever built.
-        self._sink: TraceSink = trace_sink if trace_sink is not None else NullSink()
-        self.tracing = not isinstance(self._sink, NullSink)
-        #: Per-run provenance recorder (repro.obs.enable_provenance).
-        self.recorder: Optional["RunRecorder"] = None
-        #: Repair-cost attribution profiler (repro.obs.profiler).  Hooks
-        #: mirror the recorder's ``is not None`` guard; attached below
-        #: (once tracking exists) or later via ``profiler.attach(engine)``.
-        self.profiler: Optional["RepairProfiler"] = None
+        #: The one observer slot (repro.obs) every hot-path guard tests:
+        #: None, the attached :class:`~repro.obs.trace.Observer`, or a
+        #: fan-out over several.  Change it only through attach()/detach().
+        self.observer: Optional[Observer] = None
+        self._trace_sink: TraceSink = NullSink()
+        self.trace_sink = trace_sink
         #: Wall-clock seconds of the most recent run() call and its
         #: per-phase breakdown (reset at the start of every run).
         self.last_duration = 0.0
@@ -328,22 +321,46 @@ class DittoEngine:
         self._cooldown_remaining: float = 0
         self._consecutive_fallbacks = 0
         self._runs_since_audit = 0
-        if profiler is not None:
-            profiler.attach(self)
 
     # Observability plumbing (repro.obs). -------------------------------------------
 
-    @property
-    def trace_sink(self) -> TraceSink:
-        """The attached :class:`~repro.obs.trace.TraceSink`.  Assigning a
-        non-null sink turns tracing on; assigning ``None`` or a
-        :class:`~repro.obs.trace.NullSink` turns it off."""
-        return self._sink
+    def attach(self, observer: Observer) -> Observer:
+        """Add ``observer`` to the engine's observer slot and return it (a
+        no-op if it is attached already).  Its ``attached`` hook runs
+        first and may refuse by raising."""
+        current = members(self.observer)
+        if observer not in current:
+            observer.attached(self)
+            self.observer = fan_out(current + (observer,))
+        return observer
 
-    @trace_sink.setter
-    def trace_sink(self, sink: Optional[TraceSink]) -> None:
-        self._sink = sink if sink is not None else NullSink()
-        self.tracing = not isinstance(self._sink, NullSink)
+    def detach(self, observer: Optional[Observer]) -> None:
+        """Remove ``observer`` from the slot, leaving every other one (a
+        no-op if it is not attached), then run its ``detached`` hook."""
+        current = members(self.observer)
+        if observer not in current:
+            return
+        self.observer = fan_out(
+            tuple(m for m in current if m is not observer)
+        )
+        if observer is self._trace_sink:
+            self._trace_sink = NullSink()
+        observer.detached(self)
+
+    def _set_trace_sink(self, sink: Optional[TraceSink]) -> None:
+        self.detach(self._trace_sink)
+        self._trace_sink = sink if sink is not None else NullSink()
+        if not isinstance(self._trace_sink, NullSink):
+            self.attach(self._trace_sink)
+
+    trace_sink = property(
+        lambda self: self._trace_sink,
+        _set_trace_sink,
+        doc="""The sink attached through ``trace_sink=`` or this property
+        (a :class:`~repro.obs.trace.NullSink` when there is none).
+        Assigning replaces only that sink; ``None`` or a ``NullSink``
+        detaches it.""",
+    )
 
     # Step accounting. ---------------------------------------------------------------
 
@@ -386,8 +403,8 @@ class DittoEngine:
         stats_dict = self.stats.__dict__
         attr = _TIMER_ATTRS[name]
         stats_dict[attr] = stats_dict[attr] + dur
-        if self.tracing:
-            self._sink.span(name, start, dur)
+        if self.observer is not None:
+            self.observer.span(name, start, dur)
 
     # Public API. -----------------------------------------------------------------
 
@@ -448,12 +465,8 @@ class DittoEngine:
                 if limit is not None:
                     _RECURSION_SCOPE.exit()
                 self.last_duration = time.perf_counter() - start
-                if self.recorder is not None:
-                    self.recorder.end_run(
-                        self.last_duration, self.last_phase_times, aborted
-                    )
-                if self.profiler is not None:
-                    self.profiler.run_finished(self, aborted)
+                if self.observer is not None:
+                    self.observer.run_end(self, aborted)
         finally:
             self._running = False
             self._run_lock.release()
@@ -490,7 +503,7 @@ class DittoEngine:
         self.tracking.write_log.consume(self._log_cid)
 
     def close(self) -> None:
-        """Detach the profiler and release what this engine holds in the
+        """Detach every observer and release what this engine holds in the
         shared tracking state: its graph's reference counts, its write-log
         cursor and its monitored fields.
 
@@ -501,8 +514,8 @@ class DittoEngine:
         last reference goes."""
         if self._closed:
             return
-        if self.profiler is not None:
-            self.profiler.detach(self)
+        for observer in members(self.observer):
+            self.detach(observer)
         self.invalidate()
         self._finalizer()
         self._closed = True
@@ -522,52 +535,16 @@ class DittoEngine:
         return self.table.snapshot()
 
     def validate(self) -> None:
-        """Assert the engine's internal consistency invariants; raises
-        ``AssertionError`` with a description on any violation.  Intended
-        for tests (the property machines call it after every step) and for
-        debugging engine extensions — it walks the whole graph.
-        """
-        table = self.table
-        # Anchor and root agree.
-        if self._root is not None:
-            assert table.contains(self._root), "root not in table"
-            assert self._root.caller_map().get(self._anchor, 0) == 1, (
-                "root is not anchored exactly once"
-            )
-            assert self._anchor.calls.count(self._root) == 1, (
-                "anchor call edge out of sync"
-            )
-        edge_counts: dict[tuple[int, int], int] = {}
-        for node in table:
-            assert not node.dirty, f"{node} left dirty after run"
-            assert not node.failed, f"{node} left failed after run"
-            assert not node.in_progress, f"{node} left in-progress"
-            assert node.has_result, f"{node} has no result"
-            assert node.owner is self.order, (
-                f"{node} lost its order record"
-            )
-            for callee in node.calls:
-                assert table.contains(callee), (
-                    f"{node} calls pruned node {callee}"
-                )
-                key = (id(node), id(callee))
-                edge_counts[key] = edge_counts.get(key, 0) + 1
-            for location in node.implicits:
-                assert node in table.nodes_reading(location), (
-                    f"reverse map missing {location} -> {node}"
-                )
-        for node in table:
-            for caller, count in node.caller_map().items():
-                if caller is self._anchor:
-                    continue
-                assert table.contains(caller), (
-                    f"{node} has pruned caller {caller}"
-                )
-                assert edge_counts.get((id(caller), id(node))) == count, (
-                    f"edge multiplicity mismatch {caller} -> {node}"
-                )
-            if node is not self._root:
-                assert node.callers, f"{node} unreachable"
+        """Run the :class:`~repro.resilience.auditor.GraphAuditor`'s rules
+        and raise ``AssertionError`` listing every finding.  Intended for
+        tests (the property machines call it after every step) and for
+        debugging engine extensions; unlike :meth:`audit` it neither
+        counts an audit nor times a phase."""
+        from ..resilience.auditor import GraphAuditor
+
+        report = GraphAuditor(self).run()
+        if not report.ok:
+            raise AssertionError(str(report))
 
     def lint(self):
         """Re-run the whole-program lint pass for this engine's entry point
@@ -598,9 +575,10 @@ class DittoEngine:
     def audit(self, raise_on_failure: bool = True) -> "AuditReport":
         """Run the :class:`~repro.resilience.auditor.GraphAuditor` over the
         computation graph and return its report.  Unlike :meth:`validate`
-        (assertion-based, test-oriented), the audit collects *every*
-        violation, counts itself in :attr:`stats`, and is safe to run in
-        production (``paranoia`` mode calls it automatically)."""
+        (the same rules, raising ``AssertionError`` for tests), the audit
+        counts itself in :attr:`stats`, is timed as the ``audit`` phase,
+        and raises :class:`GraphAuditError` when ``raise_on_failure``
+        (``paranoia`` mode calls it automatically)."""
         from ..resilience.auditor import GraphAuditor
 
         start = self._phase_begin("audit")
@@ -682,10 +660,8 @@ class DittoEngine:
         forwarded to the main program, as the paper requires."""
         policy = self.degradation
         start = self._phase_begin("fallback")
-        if self.tracing:
-            self._sink.instant(
-                "degradation", start, {"reason": reason, "cause": repr(cause)}
-            )
+        if self.observer is not None:
+            self.observer.degradation(reason, cause)
         self.invalidate()
         self.in_incremental_run = False
         cooldown: float = 0
@@ -793,13 +769,10 @@ class DittoEngine:
         pending = self.tracking.write_log.consume(self._log_cid)
         dirty = self.table.map_locations_to_nodes(pending)
         self._phase_end("barrier_drain", start)
-        if self.tracing:
-            counters = self.tracking.barrier_counters()
-            counters["pending"] = len(pending)
-            counters["dirtied"] = len(dirty)
-            self._sink.instant("barrier_drain", time.perf_counter(), counters)
-        root = self.table.lookup(self.entry, key)
         first_run = self._root is None
+        if self.observer is not None:
+            self.observer.run_begin(self, pending, dirty, not first_run)
+        root = self.table.lookup(self.entry, key)
         self.in_incremental_run = not first_run
 
         if first_run:
@@ -811,10 +784,6 @@ class DittoEngine:
         for node in dirty:
             node.dirty = True
         self.stats.dirty_marked += len(dirty)
-        if self.recorder is not None:
-            self.recorder.begin_run(self, pending, dirty, not first_run)
-        if self.profiler is not None:
-            self.profiler.begin_run(self, pending, dirty, not first_run)
         self._phase_end("dirty_mark", start)
         self._to_propagate.clear()
         self._failed.clear()
@@ -929,9 +898,9 @@ class DittoEngine:
         node.calls = []
         node.in_progress = True
         self._stack.append(node)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.node_begin(node)
+        observer = self.observer
+        if observer is not None:
+            observer.node_begin(node)
         ok = False
         try:
             result = self._compiled[node.func.uid](*node.args)
@@ -939,43 +908,14 @@ class DittoEngine:
         except StepLimitExceeded:
             raise
         except Exception as exc:
-            # Roll back the partially-recorded call edges; the node keeps
-            # its old value and stays scheduled for re-execution.  Fresh
-            # nodes created by the aborted execution are pruned if nothing
-            # else reaches them.
-            partial_calls = node.calls
-            for child in partial_calls:
-                self.table.remove_edge(node, child)
-            node.calls = old_calls
-            for child in set(partial_calls):
-                if (
-                    not child.callers
-                    and self.table.contains(child)
-                    and not child.in_progress
-                ):
-                    self._prune(child)
-            if (
-                self.mode == "ditto"
-                and self.in_incremental_run
-                and not self._final_retry
-            ):
-                # §3.5: presumably caused by a stale optimistic value.
-                node.failed = True
-                self._failed.add(node)
-                self.stats.mispredictions += 1
-                if self.tracing:
-                    self._sink.instant(
-                        "misprediction",
-                        time.perf_counter(),
-                        {"node": node.func.name, "error": repr(exc)},
-                    )
+            if self._abort_exec(node, old_calls, exc):
                 raise OptimisticMispredictionError(node, exc) from exc
             raise
         finally:
             node.in_progress = False
             self._stack.pop()
-            if profiler is not None:
-                profiler.node_finish(node, ok, self._current_phase or "exec")
+            if observer is not None:
+                observer.node_end(node, ok, self._current_phase)
 
         if not is_primitive(result):
             raise ResultTypeError(
@@ -992,14 +932,6 @@ class DittoEngine:
         self.stats.execs += 1
         if not self.in_incremental_run:
             self.stats.initial_execs += 1
-        if self.recorder is not None:
-            self.recorder.executed(node, self._current_phase or "exec")
-        if self.tracing:
-            self._sink.instant(
-                "node_exec",
-                time.perf_counter(),
-                {"node": node.func.name, "phase": self._current_phase},
-            )
 
         # Drop the superseded call edges and prune unreachable callees.
         for child in old_calls:
@@ -1024,6 +956,40 @@ class DittoEngine:
             self._prune(node)
         return result
 
+    def _abort_exec(
+        self, node: ComputationNode, old_calls: list, exc: Exception
+    ) -> bool:
+        """The exception branch of an execution, ``_exec``'s and the
+        compiled fresh-node path's alike: roll back the partially recorded
+        call edges (the node keeps ``old_calls`` and its old value, and
+        fresh callees nothing else reaches are pruned), then decide
+        whether ``exc`` is an optimistic misprediction to retry (True) or
+        propagates as-is (False)."""
+        partial_calls = node.calls
+        for child in partial_calls:
+            self.table.remove_edge(node, child)
+        node.calls = old_calls
+        for child in set(partial_calls):
+            if (
+                not child.callers
+                and self.table.contains(child)
+                and not child.in_progress
+            ):
+                self._prune(child)
+        if (
+            self.mode == "ditto"
+            and self.in_incremental_run
+            and not self._final_retry
+        ):
+            # §3.5: presumably caused by a stale optimistic value.
+            node.failed = True
+            self._failed.add(node)
+            self.stats.mispredictions += 1
+            if self.observer is not None:
+                self.observer.misprediction(node, exc)
+            return True
+        return False
+
     def _prune(self, node: ComputationNode) -> None:
         # Prune time is accounted as its own phase but accumulates *inside*
         # the enclosing exec/propagate/retry span (cascades are triggered
@@ -1035,14 +1001,13 @@ class DittoEngine:
             self.order.delete(n)
             self._to_propagate.discard(n)
             self._failed.discard(n)
-        if self.recorder is not None and removed:
-            self.recorder.pruned(removed)
         dur = time.perf_counter() - start
         times = self.last_phase_times
         times["prune"] = times.get("prune", 0.0) + dur
         self.stats.time_prune += dur
-        if self.tracing:
-            self._sink.span("prune", start, dur, {"removed": len(removed)})
+        if self.observer is not None:
+            self.observer.pruned(removed)
+            self.observer.span("prune", start, dur, {"removed": len(removed)})
 
     def _naive_value(self, node: ComputationNode) -> Any:
         """Figure 6's memo: reuse only after replaying every callee and
@@ -1057,10 +1022,8 @@ class DittoEngine:
                 # A memo lookup failed somewhere in the child's call tree.
                 return self._exec(node)
         self.stats.reuses += 1
-        if self.tracing:
-            self._sink.instant(
-                "reuse", time.perf_counter(), {"node": node.func.name}
-            )
+        if self.observer is not None:
+            self.observer.reuse(node)
         return node.return_val
 
     # Return-value propagation (Figure 7's ``propagate_return_vals``). -----------------
@@ -1095,49 +1058,36 @@ class DittoEngine:
         rounds = 0
         while self._failed and rounds < _MAX_RETRY_ROUNDS:
             rounds += 1
-            batch = sorted(
-                (n for n in self._failed if self.table.contains(n)),
-                key=ComputationNode.sort_token,
-                reverse=True,  # deepest first: settle callees before callers
-            )
-            self._failed.clear()
-            for node in batch:
-                if not (
-                    self.table.contains(node) and (node.dirty or node.failed)
-                ):
-                    continue
-                if node is not self._root and not node.callers:
-                    self._prune(node)
-                    continue
-                self.stats.retry_execs += 1
-                try:
-                    self._exec(node)
-                except OptimisticMispredictionError:
-                    pass
+            self._retry_batch()
             self._propagate()
         if self._failed:
+            # The final batch raises no misprediction: _abort_exec lets
+            # the exception escape to the caller.
             self._final_retry = True
             try:
-                batch = sorted(
-                    (n for n in self._failed if self.table.contains(n)),
-                    key=ComputationNode.sort_token,
-                    reverse=True,
-                )
-                self._failed.clear()
-                for node in batch:
-                    if not (
-                        self.table.contains(node)
-                        and (node.dirty or node.failed)
-                    ):
-                        continue
-                    if node is not self._root and not node.callers:
-                        self._prune(node)
-                        continue
-                    self.stats.retry_execs += 1
-                    self._exec(node)  # exceptions escape to the caller
+                self._retry_batch()
             finally:
                 self._final_retry = False
             self._propagate()
+
+    def _retry_batch(self) -> None:
+        batch = sorted(
+            (n for n in self._failed if self.table.contains(n)),
+            key=ComputationNode.sort_token,
+            reverse=True,  # deepest first: settle callees before callers
+        )
+        self._failed.clear()
+        for node in batch:
+            if not (self.table.contains(node) and (node.dirty or node.failed)):
+                continue
+            if node is not self._root and not node.callers:
+                self._prune(node)
+                continue
+            self.stats.retry_execs += 1
+            try:
+                self._exec(node)
+            except OptimisticMispredictionError:
+                pass
 
 
 def _same_value(a: Any, b: Any) -> bool:

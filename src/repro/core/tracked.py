@@ -266,9 +266,8 @@ class TrackingState:
                 self._monitored_fields[f] = n
         self._refresh()
 
-    def set_mutation_probe(self, probe: "Any | None") -> "Any | None":
-        """Arm (or, with ``None``, disarm) the profiling mutation probe and
-        return the previous one.
+    def set_mutation_probe(self, probe: "Any | None") -> None:
+        """Arm (or, with ``None``, disarm) the profiling mutation probe.
 
         While armed, every barrier append goes through a wrapper that calls
         ``probe(location)`` first — this is the single choke point all
@@ -277,10 +276,8 @@ class TrackingState:
         domain.  The probe must be cheap and must not raise; it runs on the
         main program's mutation path.
         """
-        previous = self.mutation_probe
         self.mutation_probe = probe
         self._refresh()
-        return previous
 
     def _refresh(self) -> None:
         self.monitored = frozenset(self._monitored_fields)

@@ -38,18 +38,19 @@ reference argument).
 What stays generic — deliberately:
 
 * ``engine._exec`` / ``engine._naive_value`` are called through pre-bound
-  method references for dirty re-executions and naive replay, so
-  misprediction handling, profiler/recorder hooks, and pruning live in one
-  place.  A fresh node also detours through ``_exec`` whenever an observer
-  (profiler, provenance recorder, trace sink) is armed, so the observer's
-  hooks fire for it.
+  method references for dirty re-executions and naive replay, so old-edge
+  pruning and value propagation live in one place; a failed execution's
+  rollback and misprediction decision is ``engine._abort_exec`` on both
+  paths.  A fresh node is built inline whether or not an observer is
+  attached: the closure calls the observer's node hooks itself, so armed
+  and unarmed runs build nodes on one path.
 * ``engine._compiled[uid]`` is looked up *dynamically* on the leaf and
   fresh-node paths so the fault injector's compiled-entry wrapping
   (:mod:`repro.resilience.faults`) still intercepts them.
-* Rebindable engine state — ``tracing``/``_sink``, ``helper_summaries``,
+* Rebindable engine state — the ``observer`` slot, ``helper_summaries``,
   ``method_summaries``, ``verified_helpers`` (rebound by
   ``engine.lint()``), the step limit — is read through the engine at
-  call time.
+  call time, so attaching an observer recompiles nothing.
 * The step limit lives in :meth:`DittoEngine._step_tail`, entered only
   when a limit is armed.
 """
@@ -57,7 +58,6 @@ What stays generic — deliberately:
 from __future__ import annotations
 
 import ast
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.argkeys import _ATOM_TYPES, _ID_TAG, _freeze, is_primitive
@@ -338,49 +338,12 @@ def _make_reader_closures(engine: "DittoEngine") -> dict[str, Callable]:
     }
 
 
-def _abort_fresh_exec(engine: "DittoEngine", node: ComputationNode,
-                      exc: BaseException) -> bool:
-    """Mirror of ``DittoEngine._exec``'s exception branch for a fresh node
-    whose execution ``__dcall_<uid>__`` inlined: roll back the partially
-    recorded call edges and decide whether the failure is an optimistic
-    misprediction (True) or should propagate as-is (False).  Exceptional
-    path only — frames here cost nothing in the steady state."""
-    table = engine.table
-    partial_calls = node.calls
-    for child in partial_calls:
-        table.remove_edge(node, child)
-    node.calls = []
-    for child in set(partial_calls):
-        if (
-            not child.callers
-            and table.contains(child)
-            and not child.in_progress
-        ):
-            engine._prune(child)
-    if (
-        engine.mode == "ditto"
-        and engine.in_incremental_run
-        and not engine._final_retry
-    ):
-        node.failed = True
-        engine._failed.add(node)
-        engine.stats.mispredictions += 1
-        if engine.tracing:
-            engine._sink.instant(
-                "misprediction",
-                perf_counter(),
-                {"node": node.func.name, "error": repr(exc)},
-            )
-        return True
-    return False
-
-
 def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
     """Per-callee memoized-call closure: memo-key construction, memo probe,
-    node creation, edge recording, and the entire fresh-node execution in
-    one frame, dispatching to the engine's ``_exec``/``_naive_value`` only
-    for dirty re-executions (and whenever an observer — profiler, flight
-    recorder, trace sink — needs the generic path's hooks)."""
+    node creation, edge recording, and the entire fresh-node execution
+    (observer node hooks included) in one frame, dispatching to the
+    engine's ``_exec``/``_naive_value`` only for dirty re-executions and
+    naive replay."""
     uid = func.uid
     func_name = func.name
     stack = engine._stack
@@ -394,6 +357,7 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
     order_tail = order_list._tail
     new_node = ComputationNode.__new__
     exec_node = engine._exec
+    abort_exec = engine._abort_exec
     naive = engine.mode == "naive"
     naive_value = engine._naive_value
     compiled_map = engine._compiled
@@ -423,10 +387,8 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
                     # caller; no memo entry.  The compiled entry is looked
                     # up dynamically so fault-injection wrapping applies.
                     stats.leaf_execs += 1
-                    if engine.tracing:
-                        engine._sink.instant(
-                            "leaf_exec", perf_counter(), {"func": func_name}
-                        )
+                    if engine.observer is not None:
+                        engine.observer.leaf_call(func)
                     return compiled_map[uid](*args)
         caller = stack[-1]
         # The memo key is the plain tuple ComputationNode.__init__ builds
@@ -485,25 +447,26 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
             else:
                 link_last(node)
             caller.calls.append(node)
-            if (
-                engine.profiler is not None
-                or engine.recorder is not None
-                or engine.tracing
-            ):
-                return exec_node(node)
             node.in_progress = True
             stack.append(node)
+            observer = engine.observer
+            if observer is not None:
+                observer.node_begin(node)
+            ok = False
             try:
                 result = compiled_map[uid](*args)
+                ok = True
             except StepLimitExceeded:
                 raise
             except Exception as exc:
-                if _abort_fresh_exec(engine, node, exc):
+                if abort_exec(node, [], exc):
                     raise OptimisticMispredictionError(node, exc) from exc
                 raise
             finally:
                 node.in_progress = False
                 stack.pop()
+                if observer is not None:
+                    observer.node_end(node, ok, engine._current_phase)
             if result.__class__ not in atom_types and not is_primitive(
                 result
             ):
@@ -548,10 +511,8 @@ def _make_dcall(engine: "DittoEngine", func: "CheckFunction") -> Callable:
             return naive_value(node)
         # Optimistic memoization: reuse without validating callee returns.
         stats.reuses += 1
-        if engine.tracing:
-            engine._sink.instant(
-                "reuse", perf_counter(), {"node": func_name}
-            )
+        if engine.observer is not None:
+            engine.observer.reuse(node)
         return node.return_val
 
     __dcall__.__name__ = f"__dcall_{func.name}__"

@@ -1,6 +1,7 @@
 """Observability for the DITTO engine: tracing, provenance, profiling.
 
-Four sub-layers, all near-zero-cost until attached:
+Four sub-layers, each an :class:`Observer` that costs nothing until
+``engine.attach()`` puts it in the engine's one observer slot:
 
 * :mod:`repro.obs.trace` / :mod:`repro.obs.sinks` — structured trace
   sinks.  Attach a sink (``DittoEngine(..., trace_sink=...)`` or
@@ -35,6 +36,7 @@ from .trace import (
     INSTANT_NAMES,
     SPAN_NAMES,
     NullSink,
+    Observer,
     RingBufferSink,
     TeeSink,
     TraceEvent,
@@ -63,6 +65,7 @@ __all__ = [
     "INSTANT_NAMES",
     "JsonlSink",
     "NullSink",
+    "Observer",
     "RepairProfiler",
     "RingBufferSink",
     "RunExplanation",

@@ -19,10 +19,11 @@ summarize the incident offline: engine identity, cumulative stats and
 timers, the fallback-event log, the run-summary ring, and the trace
 slice.
 
-Attaching splices a :class:`~repro.obs.trace.RingBufferSink` into the
-engine via :class:`~repro.obs.trace.TeeSink`, preserving whatever sink
-the user already installed.  The recorder is single-threaded by design:
-use one recorder per engine, from the thread that runs the engine.
+The recorder is itself a :class:`~repro.obs.trace.TraceSink` whose trace
+slice is a bounded ring: attaching adds it to the engine's observers next
+to whatever sink the user installed, and detaching removes it alone.  It
+is single-threaded by design: use one recorder per engine, from the
+thread that runs the engine.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .trace import NullSink, RingBufferSink, TeeSink, TraceSink
+from .trace import RingBufferSink, TraceEvent, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import DittoEngine
@@ -50,7 +51,7 @@ TRIGGER_REASONS: frozenset[str] = frozenset(
 )
 
 
-class FlightRecorder:
+class FlightRecorder(TraceSink):
     """Bounded black-box capture for one engine.
 
     Parameters
@@ -81,6 +82,7 @@ class FlightRecorder:
         min_dump_interval: float = 0.0,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
+        super().__init__()
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if max_dumps <= 0:
@@ -94,7 +96,6 @@ class FlightRecorder:
 
         self.engine: Optional["DittoEngine"] = None
         self._ring = RingBufferSink(trace_capacity)
-        self._prior_sink: Optional[TraceSink] = None
         self._runs: deque[dict] = deque(maxlen=capacity)
         self._watch: dict[str, int] = {}
         self._last_snapshot: dict[str, int] = {}
@@ -110,33 +111,32 @@ class FlightRecorder:
     # Attachment. -----------------------------------------------------------
 
     def attach(self, engine: "DittoEngine") -> "FlightRecorder":
-        """Splice the trace ring into ``engine`` and baseline its
+        """Add the recorder to ``engine``'s observers and baseline its
         counters.  One engine per recorder."""
+        return engine.attach(self)
+
+    def detach(self) -> None:
+        """Remove the recorder from its engine, leaving every other
+        observer attached."""
+        if self.engine is not None:
+            self.engine.detach(self)
+
+    def attached(self, engine: "DittoEngine") -> None:
         if self.engine is not None:
             raise ValueError("flight recorder is already attached")
         self.engine = engine
-        prior = engine.trace_sink
-        self._prior_sink = prior
-        if isinstance(prior, NullSink):
-            engine.trace_sink = self._ring
-        else:
-            engine.trace_sink = TeeSink([prior, self._ring])
         snapshot = engine.stats.snapshot()
         self._watch = {
             reason: snapshot[counter]
             for reason, counter in _WATCHED_COUNTERS
         }
         self._last_snapshot = snapshot
-        return self
 
-    def detach(self) -> None:
-        """Restore the engine's original sink and drop the reference."""
-        engine = self.engine
-        if engine is None:
-            return
-        engine.trace_sink = self._prior_sink
+    def detached(self, engine: "DittoEngine") -> None:
         self.engine = None
-        self._prior_sink = None
+
+    def _record(self, event: TraceEvent) -> None:
+        self._ring._record(event)
 
     # Per-run observation. --------------------------------------------------
 
@@ -249,12 +249,11 @@ class FlightRecorder:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
         self.dumps.append(path)
-        if engine.tracing:
-            engine._sink.instant(
-                "flight_dump",
-                self._clock(),
-                {"reason": reason, "path": path, "detail": detail},
-            )
+        engine.observer.instant(
+            "flight_dump",
+            self._clock(),
+            {"reason": reason, "path": path, "detail": detail},
+        )
         return path
 
     # Introspection. --------------------------------------------------------
@@ -263,7 +262,7 @@ class FlightRecorder:
         """Retained run summaries, oldest first."""
         return list(self._runs)
 
-    def trace_events(self) -> list:
+    def trace_events(self) -> list[TraceEvent]:
         """Retained trace events, oldest first."""
         return self._ring.events()
 

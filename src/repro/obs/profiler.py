@@ -42,7 +42,9 @@ The profiler is deliberately single-threaded — attach one per engine
 (the bench CLI runs each engine under a lock).  Every engine shares the
 one tracking state, so when several are profiled at once, pending site
 tags are attributed to the first engine that drains the shared write
-log.
+log.  It holds its engines weakly: a profiled engine dropped without
+``close()`` is still collected, and the probe is disarmed once no
+profiled engine on its tracking state is left.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import json
 import os
 import sys
 import time
+import weakref
 from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,6 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.tracked import TrackingState
 
 from ..core import tracked as _tracked
+from .trace import Observer, find
 
 #: Frames whose code lives in the barrier module are skipped when
 #: resolving a mutation's caller tag (the probe fires from inside
@@ -167,11 +171,11 @@ class NodeClassStat:
         }
 
 
-class RepairProfiler:
+class RepairProfiler(Observer):
     """Sampled repair-cost attribution across one or more engines.
 
-    Pass to ``DittoEngine(..., profiler=...)`` or call :meth:`attach`
-    after construction; :meth:`detach` restores the raw barrier path.
+    :meth:`attach` (or ``engine.attach(profiler)``) hooks an engine;
+    :meth:`detach` restores the raw barrier path.
     """
 
     def __init__(
@@ -186,10 +190,10 @@ class RepairProfiler:
         self.sample_interval = sample_interval
         self._clock = clock
 
-        # Attachment bookkeeping: states are refcounted because several
-        # engines share one TrackingState.
-        self._engines: list["DittoEngine"] = []
-        self._states: dict[int, list] = {}  # id -> [state, refcount]
+        # Attachment bookkeeping: a weak reference to each attached engine
+        # (a strong one would keep a dropped engine alive through the
+        # probe its tracking state holds) -> that engine's tracking state.
+        self._engines: dict[weakref.ref, "TrackingState"] = {}
 
         # Sampling epoch.  A run is recorded iff the epoch *entering* it
         # was armed; `_capture` is recomputed after every finished run.
@@ -229,47 +233,44 @@ class RepairProfiler:
         """Hook ``engine`` (and arm its tracking state's barrier probe
         for sampled epochs).  Idempotent per engine; an engine carries at
         most one profiler."""
-        if engine.profiler is self:
-            return self
-        if engine.profiler is not None:
-            raise ValueError(
-                f"engine for check {engine.entry.name!r} already has a "
-                f"profiler attached; detach it first"
-            )
-        engine.profiler = self
-        self._engines.append(engine)
-        state = engine.tracking
-        entry = self._states.get(id(state))
-        if entry is None:
-            self._states[id(state)] = [state, 1]
-            if self._capture:
-                state.set_mutation_probe(self._bound_probe)
-        else:
-            entry[1] += 1
-        return self
+        return engine.attach(self)
 
     def detach(self, engine: "DittoEngine") -> None:
         """Unhook ``engine``; the last detach from a tracking state
         restores its raw ``log_append``."""
-        if engine.profiler is not self:
-            return
-        engine.profiler = None
-        self._engines.remove(engine)
-        entry = self._states.get(id(engine.tracking))
-        if entry is not None:
-            entry[1] -= 1
-            if entry[1] <= 0:
-                del self._states[id(engine.tracking)]
-                if entry[0].mutation_probe is self._bound_probe:
-                    entry[0].set_mutation_probe(None)
+        engine.detach(self)
 
     def detach_all(self) -> None:
-        for engine in list(self._engines):
-            self.detach(engine)
+        for ref in list(self._engines):
+            engine = ref()
+            if engine is not None:
+                engine.detach(self)
+
+    def attached(self, engine: "DittoEngine") -> None:
+        if find(engine.observer, RepairProfiler) is not None:
+            raise ValueError(
+                f"engine for check {engine.entry.name!r} already has a "
+                f"profiler attached; detach it first"
+            )
+        self._engines[weakref.ref(engine, self._forget)] = engine.tracking
+        self._sync_probes()
+
+    def detached(self, engine: "DittoEngine") -> None:
+        self._forget(weakref.ref(engine))
+
+    def _forget(self, ref: weakref.ref) -> None:
+        # Also the weak reference's callback: the engine was collected.
+        state = self._engines.pop(ref, None)
+        if (
+            state is not None
+            and state not in self._engines.values()
+            and state.mutation_probe is self._bound_probe
+        ):
+            state.set_mutation_probe(None)
 
     def _sync_probes(self) -> None:
         probe = self._bound_probe if self._capture else None
-        for state, _refs in self._states.values():
+        for state in set(self._engines.values()):
             if state.mutation_probe is not probe:
                 state.set_mutation_probe(probe)
 
@@ -323,9 +324,9 @@ class RepairProfiler:
             self._sites[tag] = stat
         return stat
 
-    # Engine hooks (guarded by ``engine.profiler is not None``). -------------
+    # Observer hooks. -------------------------------------------------------
 
-    def begin_run(
+    def run_begin(
         self,
         engine: "DittoEngine",
         pending: Iterable["Location"],
@@ -368,7 +369,7 @@ class RepairProfiler:
             return
         self._stack.append([node, self._clock(), 0.0])
 
-    def node_finish(
+    def node_end(
         self, node: "ComputationNode", ok: bool, phase: str
     ) -> None:
         if not self._recording:
@@ -413,7 +414,7 @@ class RepairProfiler:
         cs.self_time += self_time
 
         # Mutation-site attribution.  Directly-dirtied nodes carry the
-        # tag sets joined at begin_run; propagate/retry ancestors inherit
+        # tag sets joined at run_begin; propagate/retry ancestors inherit
         # the union of their callees' taints (the callees re-ran first —
         # that is what propagation *is*), recorded back so grand-ancestors
         # inherit transitively.
@@ -435,7 +436,7 @@ class RepairProfiler:
                 stat.induced_execs += 1
                 stat.induced_time += share
 
-    def run_finished(self, engine: "DittoEngine", aborted: bool) -> None:
+    def run_end(self, engine: "DittoEngine", aborted: bool) -> None:
         """Close the recording window (if one opened) and advance the
         sampling epoch.  Runs that never reach the incremental path
         (scratch fallbacks, degraded-cooldown serves) still advance the
@@ -449,18 +450,17 @@ class RepairProfiler:
                 cs.aborted_runs += 1
             cs.total_time += engine.last_duration
             self.samples += 1
-            if engine.tracing:
-                engine._sink.instant(
-                    "profile_sample",
-                    self._clock(),
-                    {
-                        "check": self._run_check,
-                        "incremental": self._run_incremental,
-                        "aborted": aborted,
-                        "duration_s": engine.last_duration,
-                        "sample": self.samples,
-                    },
-                )
+            engine.observer.instant(
+                "profile_sample",
+                self._clock(),
+                {
+                    "check": self._run_check,
+                    "incremental": self._run_incremental,
+                    "aborted": aborted,
+                    "duration_s": engine.last_duration,
+                    "sample": self.samples,
+                },
+            )
             self._recording = False
             self._run_attr = {}
             self._stack.clear()
@@ -499,20 +499,21 @@ class RepairProfiler:
             key=lambda k: (-k.self_time, k.func),
         )
 
-    def folded(self) -> str:
-        """Folded-stack flamegraph text: ``check;phase;node weight_us``.
+    def _weighted_frames(self) -> list[tuple[str, str, str, int]]:
+        """``(check, phase, func, weight)`` per frame, sorted.  Weight is
+        accumulated self-time in integer microseconds (the conventional
+        folded unit); a frame whose self time rounds to zero still weighs
+        1 so a pure-counts workload stays visible."""
+        return [
+            (check, phase, func, max(int(self_time * 1e6), 1))
+            for (check, phase, func), (_, self_time) in sorted(
+                self._frames.items()
+            )
+        ]
 
-        Weight is accumulated self-time in integer microseconds (the
-        conventional folded unit); frames whose self time rounds to zero
-        still emit weight 1 so a pure-counts workload stays visible."""
-        lines = []
-        for (check, phase, func), (execs, self_time) in sorted(
-            self._frames.items()
-        ):
-            weight = int(self_time * 1e6)
-            if weight <= 0 and execs > 0:
-                weight = 1
-            lines.append(f"{check};{phase};{func} {weight}")
+    def folded(self) -> str:
+        """Folded-stack flamegraph text: ``check;phase;node weight_us``."""
+        lines = [f"{c};{p};{f} {w}" for c, p, f, w in self._weighted_frames()]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def speedscope(self, name: str = "repro repair profile") -> dict:
@@ -531,12 +532,7 @@ class RepairProfiler:
 
         samples: list[list[int]] = []
         weights: list[int] = []
-        for (check, phase, func), (execs, self_time) in sorted(
-            self._frames.items()
-        ):
-            weight = int(self_time * 1e6)
-            if weight <= 0 and execs > 0:
-                weight = 1
+        for check, phase, func, weight in self._weighted_frames():
             samples.append([fid(check), fid(phase), fid(func)])
             weights.append(weight)
         total = sum(weights)
@@ -700,13 +696,11 @@ def enable_profiling(
     engine: "DittoEngine", sample_interval: int = 1
 ) -> RepairProfiler:
     """Attach (or return the existing) profiler on ``engine``."""
-    if engine.profiler is not None:
-        return engine.profiler
-    return RepairProfiler(sample_interval=sample_interval).attach(engine)
+    return find(engine.observer, RepairProfiler) or RepairProfiler(
+        sample_interval=sample_interval
+    ).attach(engine)
 
 
 def disable_profiling(engine: "DittoEngine") -> None:
     """Detach ``engine``'s profiler (restoring the raw barrier path)."""
-    profiler = engine.profiler
-    if profiler is not None:
-        profiler.detach(engine)
+    engine.detach(find(engine.observer, RepairProfiler))

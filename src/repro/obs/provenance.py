@@ -16,15 +16,16 @@ Usage::
     print(explain_last_run(engine))          # text rendering
     print(explain_last_run(engine).dot())    # Graphviz rendering
 
-Recording is off by default (the engine carries a ``None`` recorder and
-pays one identity test per hook); when enabled it costs one label
-construction per dirtied/executed/pruned node, so leave it off in timed
-benchmark regions.
+Recording is off by default (nothing is attached to the engine's one
+observer slot); when enabled it costs one label construction per
+dirtied/executed/pruned node, so leave it off in timed benchmark regions.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
+
+from .trace import Observer, find
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import DittoEngine
@@ -93,8 +94,8 @@ class RunRecord:
         self.aborted = False
 
 
-class RunRecorder:
-    """Engine-side hook target; attach with :func:`enable_provenance`."""
+class RunRecorder(Observer):
+    """The provenance observer; attach with :func:`enable_provenance`."""
 
     __slots__ = ("last", "_current")
 
@@ -102,9 +103,7 @@ class RunRecorder:
         self.last: Optional[RunRecord] = None
         self._current: Optional[RunRecord] = None
 
-    # Hooks the engine calls (all guarded by ``recorder is not None``). ------
-
-    def begin_run(
+    def run_begin(
         self,
         engine: "DittoEngine",
         pending: list["Location"],
@@ -122,25 +121,22 @@ class RunRecorder:
             )
         self._current = record
 
-    def executed(self, node: "ComputationNode", phase: str) -> None:
-        if self._current is not None:
+    def node_end(
+        self, node: "ComputationNode", ok: bool, phase: str
+    ) -> None:
+        if ok and self._current is not None:
             self._current.executed.append((_node_label(node), phase))
 
     def pruned(self, nodes: list["ComputationNode"]) -> None:
         if self._current is not None:
             self._current.pruned.extend(_node_label(n) for n in nodes)
 
-    def end_run(
-        self,
-        duration: float,
-        phase_times: dict[str, float],
-        aborted: bool,
-    ) -> None:
+    def run_end(self, engine: "DittoEngine", aborted: bool) -> None:
         record = self._current
         if record is None:
             return
-        record.duration = duration
-        record.phase_times = dict(phase_times)
+        record.duration = engine.last_duration
+        record.phase_times = dict(engine.last_phase_times)
         record.aborted = aborted
         self.last = record
         self._current = None
@@ -246,16 +242,12 @@ class RunExplanation:
 
 def enable_provenance(engine: "DittoEngine") -> RunRecorder:
     """Attach (or return the existing) per-run provenance recorder."""
-    recorder = engine.recorder
-    if recorder is None:
-        recorder = RunRecorder()
-        engine.recorder = recorder
-    return recorder
+    return find(engine.observer, RunRecorder) or engine.attach(RunRecorder())
 
 
 def disable_provenance(engine: "DittoEngine") -> None:
     """Detach the recorder; subsequent runs record nothing."""
-    engine.recorder = None
+    engine.detach(find(engine.observer, RunRecorder))
 
 
 def explain_last_run(engine: "DittoEngine") -> RunExplanation:
@@ -263,7 +255,7 @@ def explain_last_run(engine: "DittoEngine") -> RunExplanation:
 
     Requires :func:`enable_provenance` to have been attached before the
     run; raises ``ValueError`` with instructions otherwise."""
-    recorder = engine.recorder
+    recorder = find(engine.observer, RunRecorder)
     if recorder is None:
         raise ValueError(
             "provenance recording is not enabled on this engine; call "

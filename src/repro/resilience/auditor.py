@@ -233,8 +233,9 @@ class GraphAuditor:
                 recorded = edge_counts.get((id(caller), id(node)), 0)
                 if recorded != count:
                     yield (
-                        f"edge {caller} -> {node}: callers map says "
-                        f"{count}, calls lists say {recorded}"
+                        f"edge multiplicity mismatch {caller} -> {node}: "
+                        f"callers map says {count}, calls lists say "
+                        f"{recorded}"
                     )
             if node is not root and not node.callers:
                 yield f"{node} is unreachable (no callers) yet not pruned"
@@ -257,8 +258,8 @@ class GraphAuditor:
         for node in self.engine.table:
             if node.owner is not order:
                 yield (
-                    f"{node} is not linked into this engine's order list "
-                    f"(dead or owned by another list)"
+                    f"{node} lost its order record: not linked into this "
+                    f"engine's order list (dead or owned by another list)"
                 )
                 continue
             linked += 1

@@ -18,6 +18,7 @@ from repro import (
     tracking_state,
 )
 from repro.bench.runner import run_with_big_stack
+from repro.obs import RingBufferSink, enable_profiling, enable_provenance
 from repro.structures.ordered_list import IntListElem, is_ordered
 
 
@@ -298,49 +299,78 @@ class TestBusyGuard:
         assert engine.run(head) is True
 
 
+def _chain(length):
+    head = None
+    for value in range(length, 0, -1):
+        head = IntListElem(value, head)
+    return head
+
+
+def _checks(engine, head):
+    try:
+        return engine.run(head) is True
+    except RecursionError:
+        return False
+
+
+def _longest_scratch_list(engine_factory):
+    """Bisect, at the current recursion limit, the longest list the
+    unarmed scratch engine checks."""
+    scratch = engine_factory(is_ordered, mode="scratch", trace_sink=None)
+    lo, hi = 1, 1000
+    assert _checks(scratch, _chain(lo))
+    assert not _checks(scratch, _chain(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _checks(scratch, _chain(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _assert_depth_parity(engine_factory, arm=lambda engine: None):
+    """At limit 1000, ditto and naive engines (each armed by ``arm``)
+    check the longest list scratch checks."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        head = _chain(_longest_scratch_list(engine_factory))
+        for mode in ("ditto", "naive"):
+            engine = engine_factory(is_ordered, mode=mode)
+            arm(engine)
+            assert _checks(engine, head), mode
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+#: One of each observer kind, armed on an engine.
+ARMERS = {
+    "ring": lambda engine: engine.attach(RingBufferSink()),
+    "provenance": enable_provenance,
+    "profiling": enable_profiling,
+}
+
+
 class TestDepthParity:
     def test_engines_check_the_longest_list_scratch_checks(
         self, engine_factory
     ):
-        """At the caller's recursion limit and with no observer armed, the
-        ditto and naive engines check the longest list the uninstrumented
-        check handles from scratch: the compiled closures spend fewer
-        recursion counts per element than the ``@check`` call path."""
+        """At the caller's recursion limit, the ditto and naive engines
+        check the longest list the uninstrumented check handles from
+        scratch: the compiled closures spend fewer recursion counts per
+        element than the ``@check`` call path.  (Under
+        ``--trace-sink=ring`` both engines carry a sink.)"""
+        _assert_depth_parity(engine_factory)
 
-        def chain(length):
-            head = None
-            for value in range(length, 0, -1):
-                head = IntListElem(value, head)
-            return head
-
-        def checks(engine, head):
-            try:
-                return engine.run(head) is True
-            except RecursionError:
-                return False
-
-        saved = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
-            scratch = engine_factory(
-                is_ordered, mode="scratch", trace_sink=None
-            )
-            # Bisect: scratch checks a list of length lo, not one of hi.
-            lo, hi = 1, 1000
-            assert checks(scratch, chain(lo))
-            assert not checks(scratch, chain(hi))
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if checks(scratch, chain(mid)):
-                    lo = mid
-                else:
-                    hi = mid
-            head = chain(lo)
-            for mode in ("ditto", "naive"):
-                engine = engine_factory(is_ordered, mode=mode, trace_sink=None)
-                assert checks(engine, head), (mode, lo)
-        finally:
-            sys.setrecursionlimit(saved)
+    @pytest.mark.parametrize("armer", sorted(ARMERS))
+    def test_armed_engines_check_the_longest_list_scratch_checks(
+        self, engine_factory, armer
+    ):
+        """An armed observer leaves the node path as it is: fresh nodes
+        are still built inline, so an armed engine reaches the same
+        depth as scratch."""
+        _assert_depth_parity(engine_factory, ARMERS[armer])
 
 
 class TestWriteLogHygiene:

@@ -68,3 +68,4 @@ class TestExamples:
         assert "per-run counter deltas" in out
         assert "dirty_execs" in out
         assert "valid" in out  # the Chrome trace validated clean
+        assert "top mutation sites" in out  # the profiler's report

@@ -13,9 +13,10 @@ the *shape* of the work instead:
   most one release per distinct location, not one ``_ditto_decref_loc``
   call per (node, location) pair.
 
-Both run without and with an observer: with a trace sink armed, fresh
-nodes are built through the engine's generic ``_exec`` rather than inline
-in the compiled call closure, and each path must keep these bounds.
+Both run with the observer disarmed and armed (a trace sink attached).
+Fresh nodes are built on one path either way, inline in the compiled call
+closure, which calls the observer's node hooks when one is attached; the
+bounds must hold with the hooks firing too.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from repro.core.node import ComputationNode
 from repro.obs import RingBufferSink
 from repro.structures.red_black_tree import RedBlackTree, rbt_invariant
 
-#: "off": no observer, so a fresh node executes inline in its compiled
-#: call closure; "on": a trace sink is armed, so every fresh node detours
-#: through the engine's generic ``_exec``.
+#: "off": the observer is disarmed; "on": a trace sink is armed.  Both
+#: build fresh nodes on the one inline path; "on" also fires the hooks.
 OBSERVED = pytest.mark.parametrize(
     "observed", [False, True], ids=["off", "on"]
 )

@@ -35,8 +35,8 @@ from repro.structures.red_black_tree import (
     rbt_invariant,
 )
 
-#: "off": no observer; "on": a trace sink is armed, so fresh nodes detour
-#: through the engine's generic ``_exec``.
+#: "off": the observer is disarmed; "on": a trace sink is armed.  Both
+#: build fresh nodes on the one inline path; "on" also fires the hooks.
 OBSERVED = pytest.mark.parametrize(
     "observed", [False, True], ids=["off", "on"]
 )

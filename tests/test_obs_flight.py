@@ -30,18 +30,21 @@ def recorder_engine(engine_factory, tmp_path):
 
 class TestAttachment:
     def test_null_sink_replaced_by_ring(self, recorder_engine):
+        """With no sink, the recorder's bounded ring is the engine's only
+        observer; the ``trace_sink`` door stays empty."""
         recorder, engine, _ = recorder_engine
-        assert isinstance(engine.trace_sink, RingBufferSink)
-        assert engine.tracing is True
+        assert engine.observer is recorder
+        assert isinstance(engine.trace_sink, NullSink)
 
     def test_existing_sink_preserved_via_tee(self, engine_factory,
                                              tmp_path):
         user_sink = RingBufferSink()
         engine = engine_factory(is_ordered, trace_sink=user_sink)
         recorder = FlightRecorder(str(tmp_path)).attach(engine)
-        tee = engine.trace_sink
+        tee = engine.observer
         assert isinstance(tee, TeeSink)
-        assert user_sink in tee.sinks
+        assert tee.members == (user_sink, recorder)
+        assert engine.trace_sink is user_sink
         lst = _build_list(5)
         engine.run(lst.head)
         # Both the user's sink and the black-box ring saw the run.
@@ -49,6 +52,32 @@ class TestAttachment:
         assert recorder.trace_events()
         recorder.detach()
         assert engine.trace_sink is user_sink
+        assert engine.observer is user_sink
+
+    def test_setting_the_sink_keeps_the_recorder(self, recorder_engine):
+        """Setting ``trace_sink`` after attach replaces only the sink: the
+        recorder's ring keeps receiving every event."""
+        recorder, engine, _ = recorder_engine
+        lst = _build_list(5)
+        engine.run(lst.head)
+        before = len(recorder.trace_events())
+        user_sink = RingBufferSink()
+        engine.trace_sink = user_sink
+        lst.insert(3)
+        engine.run(lst.head)
+        assert user_sink.events_emitted > 0
+        assert len(recorder.trace_events()) == before + len(user_sink)
+
+    def test_detach_keeps_a_sink_set_after_attach(self, recorder_engine):
+        """Detaching removes the recorder alone, never a sink the user set
+        while it was attached."""
+        recorder, engine, _ = recorder_engine
+        user_sink = RingBufferSink()
+        engine.trace_sink = user_sink
+        recorder.detach()
+        assert engine.trace_sink is user_sink
+        assert engine.observer is user_sink
+        assert recorder.engine is None
 
     def test_double_attach_rejected(self, recorder_engine,
                                     engine_factory, tmp_path):

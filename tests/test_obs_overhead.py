@@ -1,10 +1,10 @@
 """Observability overhead contract: a disabled engine never builds trace
 events, and tracing changes no engine behaviour.
 
-The hot-path promise (ISSUE: near-zero overhead when disabled) is proved
-deterministically, not with a timing assertion: the engine checks one
-boolean before constructing any event, so with the default
-:class:`~repro.obs.NullSink` the sink's ``events_emitted`` counter must
+The hot-path promise (near-zero overhead when disabled) is proved
+deterministically, not with a timing assertion: the engine tests its one
+observer slot before calling any hook, and a :class:`~repro.obs.NullSink`
+leaves the slot empty, so the sink's ``events_emitted`` counter must
 stay exactly zero through a long soak — if any hot path allocated an
 event, the counter would tick.
 """
@@ -52,7 +52,7 @@ class TestNullSinkSoak:
         engine = DittoEngine(is_ordered, trace_sink=sink,
                              recursion_limit=None)
         try:
-            assert engine.tracing is False
+            assert engine.observer is None
             delta = _soak(engine, _build_list(SOAK_SIZE), seed=0xBEEF)
         finally:
             engine.close()
@@ -67,7 +67,7 @@ class TestNullSinkSoak:
         engine = DittoEngine(is_ordered, recursion_limit=None)
         try:
             assert isinstance(engine.trace_sink, NullSink)
-            assert engine.tracing is False
+            assert engine.observer is None
         finally:
             engine.close()
 

@@ -12,14 +12,17 @@ tripwire, loose enough not to flake in CI.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+import weakref
+from collections import Counter
 
 import pytest
 
 from repro import DittoEngine
 from repro.obs import RepairProfiler, disable_profiling, enable_profiling
-from repro.obs.trace import RingBufferSink
+from repro.obs.trace import RingBufferSink, members
 from repro.structures import OrderedIntList, is_ordered
 
 SOAK_SIZE = 1000
@@ -61,7 +64,8 @@ def _soak(engine: DittoEngine, lst: OrderedIntList, seed: int) -> dict:
 class TestSiteAttribution:
     def test_two_sites_attributed_separately(self, engine_factory):
         profiler = RepairProfiler()
-        engine = engine_factory(is_ordered, profiler=profiler)
+        engine = engine_factory(is_ordered)
+        profiler.attach(engine)
         lst = _build_list(50)
         rng = random.Random(7)
         engine.run(lst.head)
@@ -85,7 +89,8 @@ class TestSiteAttribution:
 
     def test_site_tag_is_caller_not_structure_mutator(self, engine_factory):
         profiler = RepairProfiler()
-        engine = engine_factory(is_ordered, profiler=profiler)
+        engine = engine_factory(is_ordered)
+        profiler.attach(engine)
         lst = _build_list(20)
         engine.run(lst.head)
         _mutate_low(lst, random.Random(0))
@@ -98,7 +103,8 @@ class TestSiteAttribution:
 
     def test_check_and_node_class_stats(self, engine_factory):
         profiler = RepairProfiler()
-        engine = engine_factory(is_ordered, profiler=profiler)
+        engine = engine_factory(is_ordered)
+        profiler.attach(engine)
         lst = _build_list(30)
         engine.run(lst.head)
         lst.insert(15)
@@ -115,7 +121,8 @@ class TestSiteAttribution:
 
     def test_report_mentions_all_axes(self, engine_factory):
         profiler = RepairProfiler()
-        engine = engine_factory(is_ordered, profiler=profiler)
+        engine = engine_factory(is_ordered)
+        profiler.attach(engine)
         lst = _build_list(10)
         engine.run(lst.head)
         _mutate_low(lst, random.Random(1))
@@ -136,7 +143,7 @@ class TestDeterminism:
         profiler = RepairProfiler()
         measure_soak(
             "ordered_list", 120, 60, mode="ditto", seed=seed,
-            engine_options={"profiler": profiler,
+            engine_options={"observers": [profiler],
                             "recursion_limit": None},
         )
         profiler.detach_all()
@@ -158,7 +165,8 @@ class TestDeterminism:
 class TestSamplingEpochs:
     def test_interval_samples_every_kth_run(self, engine_factory):
         profiler = RepairProfiler(sample_interval=3)
-        engine = engine_factory(is_ordered, profiler=profiler)
+        engine = engine_factory(is_ordered)
+        profiler.attach(engine)
         lst = _build_list(20)
         rng = random.Random(5)
         for _ in range(9):
@@ -171,7 +179,8 @@ class TestSamplingEpochs:
 
     def test_unarmed_epoch_leaves_raw_append(self, engine_factory):
         profiler = RepairProfiler(sample_interval=1000)
-        engine = engine_factory(is_ordered, profiler=profiler)
+        engine = engine_factory(is_ordered)
+        profiler.attach(engine)
         state = engine.tracking
         assert state.mutation_probe is None
         assert state.log_append == state.write_log.append
@@ -190,7 +199,8 @@ class TestSamplingEpochs:
         self, engine_factory
     ):
         profiler = RepairProfiler()
-        engine = engine_factory(is_ordered, profiler=profiler)
+        engine = engine_factory(is_ordered)
+        profiler.attach(engine)
         lst = _build_list(10)
         engine.run(lst.head)
         _mutate_low(lst, random.Random(2))
@@ -199,7 +209,7 @@ class TestSamplingEpochs:
         profiler.reset()
         assert profiler.top_mutation_sites() == []
         assert profiler.runs_seen == 0
-        assert engine.profiler is profiler
+        assert profiler in members(engine.observer)
         lst.insert(3)
         engine.run(lst.head)
         assert profiler.samples == 1
@@ -210,10 +220,10 @@ class TestAttachDetach:
         engine = engine_factory(is_ordered)
         profiler = enable_profiling(engine)
         state = engine.tracking
-        assert engine.profiler is profiler
+        assert profiler in members(engine.observer)
         assert state.mutation_probe is not None
         disable_profiling(engine)
-        assert engine.profiler is None
+        assert profiler not in members(engine.observer)
         assert state.mutation_probe is None
         assert state.log_append == state.write_log.append
 
@@ -230,8 +240,10 @@ class TestAttachDetach:
 
     def test_shared_state_refcounted(self, engine_factory):
         profiler = RepairProfiler()
-        a = engine_factory(is_ordered, profiler=profiler)
-        b = engine_factory(is_ordered, profiler=profiler)
+        a = engine_factory(is_ordered)
+        profiler.attach(a)
+        b = engine_factory(is_ordered)
+        profiler.attach(b)
         assert a.tracking is b.tracking  # global state by default
         profiler.detach(a)
         # One engine still attached: the probe must survive.
@@ -246,17 +258,19 @@ class TestAttachDetach:
         engine no longer pay the probe."""
         profiler = RepairProfiler()
         lst = _build_list(10)
-        a = engine_factory(is_ordered, profiler=profiler)
-        b = engine_factory(is_ordered, profiler=profiler)
+        a = engine_factory(is_ordered)
+        profiler.attach(a)
+        b = engine_factory(is_ordered)
+        profiler.attach(b)
         reader = engine_factory(is_ordered)
         for engine in (a, b, reader):
             assert engine.run(lst.head) is True
         state = reader.tracking
         a.close()
-        assert a.profiler is None
+        assert profiler not in members(a.observer)
         assert state.mutation_probe is not None
         b.close()
-        assert b.profiler is None
+        assert profiler not in members(b.observer)
         assert state.mutation_probe is None
         assert state.log_append == state.write_log.append
         captured = profiler.mutations_captured
@@ -266,10 +280,45 @@ class TestAttachDetach:
         assert profiler.mutations_captured == captured
 
 
+    def test_profiler_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            DittoEngine(is_ordered, profiler=RepairProfiler())
+
+    def test_dropped_profiled_engine_is_collected(self, engine_factory):
+        """The profiler holds its engines weakly: a profiled engine
+        dropped without ``close()`` is collected and releases its share of
+        the tracking state, and the probe is disarmed with it."""
+        lst = _build_list(3)
+        survivor = engine_factory(is_ordered)
+        dropped = DittoEngine(is_ordered, recursion_limit=None)
+        profiler = enable_profiling(dropped)
+        assert survivor.run(lst.head) is dropped.run(lst.head) is True
+        gone = weakref.ref(dropped)
+        del dropped
+        gc.collect()
+        assert gone() is None
+        state = survivor.tracking
+        assert state.mutation_probe is None
+        captured = profiler.mutations_captured
+        for i in range(1000):
+            lst.head.value = -i - 1
+            assert survivor.run(lst.head) is True
+        assert len(state.write_log) == 0
+        census = Counter(
+            id(location.container)
+            for node in survivor.table
+            for location in node.implicits
+        )
+        header = lst.head._ditto
+        assert header.refcount == header.locrefs == census[id(lst.head)]
+        assert profiler.mutations_captured == captured
+
+
 class TestExports:
     def _profiled_engine(self, engine_factory):
         profiler = RepairProfiler()
-        engine = engine_factory(is_ordered, profiler=profiler)
+        engine = engine_factory(is_ordered)
+        profiler.attach(engine)
         lst = _build_list(30)
         engine.run(lst.head)
         rng = random.Random(3)
@@ -335,9 +384,8 @@ class TestProfileSampleInstant:
     def test_emitted_when_tracing(self, engine_factory):
         sink = RingBufferSink()
         profiler = RepairProfiler()
-        engine = engine_factory(
-            is_ordered, profiler=profiler, trace_sink=sink
-        )
+        engine = engine_factory(is_ordered, trace_sink=sink)
+        profiler.attach(engine)
         lst = _build_list(10)
         engine.run(lst.head)
         lst.insert(5)
@@ -360,9 +408,8 @@ class TestArmedIdleOverhead:
             baseline.close()
 
         profiler = RepairProfiler(sample_interval=10_000)
-        profiled = DittoEngine(
-            is_ordered, recursion_limit=None, profiler=profiler
-        )
+        profiled = DittoEngine(is_ordered, recursion_limit=None)
+        profiler.attach(profiled)
         try:
             state = profiled.tracking
             assert state.mutation_probe is None
@@ -385,9 +432,9 @@ class TestArmedIdleOverhead:
         def timed_soak(profiler) -> float:
             best = float("inf")
             for _ in range(3):
-                engine = DittoEngine(
-                    is_ordered, recursion_limit=None, profiler=profiler
-                )
+                engine = DittoEngine(is_ordered, recursion_limit=None)
+                if profiler is not None:
+                    profiler.attach(engine)
                 try:
                     lst = _build_list(SOAK_SIZE)
                     start = time.perf_counter()

@@ -10,7 +10,9 @@ from repro.obs import (
     enable_provenance,
     explain_last_run,
 )
+from repro.obs import RunRecorder
 from repro.obs.provenance import _dot_escape
+from repro.obs.trace import members
 
 
 class Elem(TrackedObject):
@@ -56,7 +58,9 @@ class TestLifecycle:
         enable_provenance(engine)
         engine.run(_chain(3))
         disable_provenance(engine)
-        assert engine.recorder is None
+        assert not any(
+            isinstance(m, RunRecorder) for m in members(engine.observer)
+        )
         with pytest.raises(ValueError):
             explain_last_run(engine)
 

@@ -91,14 +91,14 @@ class TestSinkPrimitives:
 class TestEngineEmission:
     def test_default_engine_does_not_trace(self, engine_factory):
         engine = engine_factory(trace_len, trace_sink=NullSink())
-        assert engine.tracing is False
+        assert engine.observer is None
         engine.run(_chain(5))
         assert engine.trace_sink.events_emitted == 0
 
     def test_initial_run_emits_exec_span(self, engine_factory):
         sink = RingBufferSink()
         engine = engine_factory(trace_len, trace_sink=sink)
-        assert engine.tracing is True
+        assert engine.observer is sink
         engine.run(_chain(5))
         exec_spans = sink.spans("exec")
         assert len(exec_spans) == 1
@@ -127,12 +127,12 @@ class TestEngineEmission:
         engine.run(head)
         ring = RingBufferSink()
         engine.trace_sink = ring
-        assert engine.tracing is True
+        assert engine.observer is ring
         head.next.next = None
         engine.run(head)
         assert ring.events_emitted > 0
         engine.trace_sink = NullSink()
-        assert engine.tracing is False
+        assert engine.observer is None
 
     def test_prune_span_carries_removed_count(self, engine_factory):
         sink = RingBufferSink()

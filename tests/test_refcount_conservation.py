@@ -4,9 +4,10 @@ The write barrier skips a store when the §4 counts say no computation node
 reads it, so the counts must be exact: an over-release silently drops
 writes another engine depends on, an under-release keeps paying for
 barriers nobody needs.  These tests drive the paper workloads (a
-red-black tree, a Netcols board, a JSO program) without and with an
-observer (a trace sink routes fresh nodes through the engine's generic
-``_exec`` instead of the compiled call closure) and check three things:
+red-black tree, a Netcols board, a JSO program) with the observer
+disarmed and armed (a trace sink attached; fresh nodes are built on the
+one inline path either way, with the node hooks firing when armed) and
+check three things:
 
 * while a graph is live, every container's header ``refcount`` and
   ``locrefs``, and every interned location's ``refcount``, equal
@@ -45,9 +46,8 @@ from repro.core.locations import FieldLocation
 from repro.obs import RingBufferSink
 from repro.structures.red_black_tree import RedBlackTree, rbt_invariant
 
-#: "off": no observer, so a fresh node executes inline in its compiled
-#: call closure; "on": a trace sink is armed, so every fresh node detours
-#: through the engine's generic ``_exec``.
+#: "off": the observer is disarmed; "on": a trace sink is armed.  Both
+#: build fresh nodes on the one inline path; "on" also fires the hooks.
 OBSERVED = pytest.mark.parametrize(
     "observed", [False, True], ids=["off", "on"]
 )
